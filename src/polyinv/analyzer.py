@@ -12,8 +12,8 @@ the integers).
 Loops follow the rational-tree construction: a while node is expanded
 until the store met at its recursive occurrence is subsumed by the one
 at the expansion (then the recursive conclusion is the least fixpoint
-of ``X -> filter_ff join X``, reached by Kleene iteration in at most
-two steps); a non-subsumed recurrence re-expands the node in place with
+of ``X -> filter_ff join X``, which is ``filter_ff`` itself); a
+non-subsumed recurrence re-expands the node in place with
 the store joined (`delay` times) and then widened, which guarantees
 termination.
 """
@@ -21,13 +21,13 @@ termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import imp
-from .domains import AbstractBool, Interval, alpha_bool, int_arith, int_compare
+from .domains import Interval, int_arith
 from .linalg import Constraint, LinExpr, Rel, canonicalize_constraint
-from .polyhedron import Polyhedron, Topology, standard_widening
-from .powerset import PolySet, powerset_widening
+from .polyhedron import Polyhedron, Topology
+from .powerset import PolySet, check_domain_options, lift
 
 
 class AnalysisError(RuntimeError):
@@ -42,10 +42,7 @@ class AnalysisOptions:
     max_local_iterations: int = 64
 
     def __post_init__(self):
-        if self.domain not in ("poly", "powerset"):
-            raise ValueError(f"unknown domain {self.domain!r}")
-        if self.cap < 1:
-            raise ValueError("powerset cap must be at least 1")
+        check_domain_options(self.domain, self.cap)
 
 
 @dataclass(frozen=True)
@@ -61,54 +58,35 @@ class AbstractStore:
 
     @staticmethod
     def top(variables: Sequence[str], domain: str = "poly") -> AbstractStore:
-        n = len(variables)
-        u = Polyhedron.universe(n, Topology.CLOSED)
-        value = PolySet.singleton(u) if domain == "powerset" else u
-        return AbstractStore(tuple(variables), value)
-
-    @staticmethod
-    def bottom(variables: Sequence[str], domain: str = "poly") -> AbstractStore:
-        n = len(variables)
-        value = (
-            PolySet.bottom(n, Topology.CLOSED)
-            if domain == "powerset"
-            else Polyhedron.empty(n, Topology.CLOSED)
-        )
-        return AbstractStore(tuple(variables), value)
+        u = Polyhedron.universe(len(variables), Topology.CLOSED)
+        return AbstractStore(tuple(variables), lift(u, domain))
 
     @staticmethod
     def from_constraints(
         variables: Sequence[str], cs: Sequence[Constraint], domain: str = "poly"
     ) -> AbstractStore:
-        n = len(variables)
-        p = Polyhedron.from_constraints(n, Topology.CLOSED, _tighten_strict(cs))
-        value = PolySet.singleton(p) if domain == "powerset" else p
-        return AbstractStore(tuple(variables), value)
+        p = Polyhedron.from_constraints(len(variables), Topology.CLOSED, _tighten_strict(cs))
+        return AbstractStore(tuple(variables), lift(p, domain))
 
     # lattice ----------------------------------------------------------------
 
     def is_bottom(self) -> bool:
-        if isinstance(self.value, PolySet):
-            return self.value.is_bottom()
-        return self.value.is_empty()
+        return self.value.is_bottom()
 
     def join(self, other: AbstractStore) -> AbstractStore:
-        if isinstance(self.value, PolySet):
-            return self._with(self.value.join(other.value))
-        return self._with(self.value.poly_hull(other.value))
+        return self._with(self.value.join(other.value))
 
     def leq(self, other: AbstractStore) -> bool:
-        if isinstance(self.value, PolySet):
-            return self.value.entails(other.value)
-        return other.value.contains(self.value)
+        return self.value.entails(other.value)
 
     def equals(self, other: AbstractStore) -> bool:
-        return self.leq(other) and other.leq(self)
+        return self.value.equals(other.value)
 
     def widen(self, newer: AbstractStore, cap: int) -> AbstractStore:
-        if isinstance(self.value, PolySet):
-            return self._with(powerset_widening(self.value, newer.value, cap))
-        return self._with(standard_widening(self.value, newer.value))
+        return self._with(self.value.widen(newer.value, cap))
+
+    def lift_image(self, op: Callable[[Polyhedron], Polyhedron]) -> AbstractStore:
+        return self._with(self.value.lift_image(op))
 
     def contains_concrete(self, store: Mapping[str, int]) -> bool:
         point = [store[v] for v in self.variables]
@@ -116,19 +94,6 @@ class AbstractStore:
 
     def _with(self, value) -> AbstractStore:
         return AbstractStore(self.variables, value)
-
-    def _each(self) -> list[Polyhedron]:
-        if isinstance(self.value, PolySet):
-            return list(self.value.elements)
-        return [] if self.value.is_empty() else [self.value]
-
-    def _rebuild(self, polys: list[Polyhedron]) -> AbstractStore:
-        if isinstance(self.value, PolySet):
-            return self._with(PolySet.reduce(self.dim, Topology.CLOSED, polys))
-        acc = Polyhedron.empty(self.dim, Topology.CLOSED)
-        for p in polys:
-            acc = acc.poly_hull(p)
-        return self._with(acc)
 
     def pretty(self) -> str:
         if isinstance(self.value, PolySet):
@@ -174,8 +139,6 @@ def to_linexpr(e: imp.Aexp, variables: Sequence[str]) -> LinExpr | None:
 
 
 def _interval_of_dim(p: Polyhedron, k: int) -> Interval:
-    if p.is_empty():
-        return Interval.bottom()
     lo, hi = p.dim_bounds(k)
     ilo = None if lo is None else -((-lo.numerator) // lo.denominator)  # ceil
     ihi = None if hi is None else hi.numerator // hi.denominator  # floor
@@ -184,29 +147,17 @@ def _interval_of_dim(p: Polyhedron, k: int) -> Interval:
     return Interval(ilo, ihi)
 
 
-def abstract_eval_aexp(e: imp.Aexp, store: AbstractStore) -> Interval:
-    if store.is_bottom():
+def abstract_eval_aexp(e: imp.Aexp, p: Polyhedron, variables: Sequence[str]) -> Interval:
+    """The integer interval of e's values over the polyhedron p."""
+    if p.is_empty():
         return Interval.bottom()
     if isinstance(e, imp.IntLit):
         return Interval.singleton(e.value)
     if isinstance(e, imp.Var):
-        k = store.variables.index(e.name)
-        acc = Interval.bottom()
-        for p in store._each():
-            acc = acc.join(_interval_of_dim(p, k))
-        return acc
+        return _interval_of_dim(p, variables.index(e.name))
     assert isinstance(e, imp.BinOp)
-    return int_arith(e.op, abstract_eval_aexp(e.left, store), abstract_eval_aexp(e.right, store))
-
-
-def abstract_eval_bexp(b: imp.Bexp, store: AbstractStore) -> AbstractBool:
-    if store.is_bottom():
-        return AbstractBool.BOT
-    if isinstance(b, imp.BoolLit):
-        return alpha_bool([b.value])
-    assert isinstance(b, imp.Compare)
-    return int_compare(
-        b.op, abstract_eval_aexp(b.left, store), abstract_eval_aexp(b.right, store)
+    return int_arith(
+        e.op, abstract_eval_aexp(e.left, p, variables), abstract_eval_aexp(e.right, p, variables)
     )
 
 
@@ -232,7 +183,9 @@ def filter_store(store: AbstractStore, b: imp.Bexp, branch: bool) -> AbstractSto
     if store.is_bottom():
         return store
     if isinstance(b, imp.BoolLit):
-        return store if b.value == branch else AbstractStore.bottom(store.variables, _domain_of(store))
+        if b.value == branch:
+            return store
+        return store.lift_image(lambda p: Polyhedron.empty(p.dim, p.topology))
     assert isinstance(b, imp.Compare)
     lhs = to_linexpr(b.left, store.variables)
     rhs = to_linexpr(b.right, store.variables)
@@ -241,22 +194,19 @@ def filter_store(store: AbstractStore, b: imp.Bexp, branch: bool) -> AbstractSto
     if b.op == "<":
         kind = "lt" if branch else "ge"
         c = _comparison_constraint(lhs, rhs, kind)
-        return store._rebuild([p.add_constraint(c) for p in store._each()])
+        return store.lift_image(lambda p: p.add_constraint(c))
     # equality test
     if branch:
         c = _comparison_constraint(lhs, rhs, "eq")
-        return store._rebuild([p.add_constraint(c) for p in store._each()])
+        return store.lift_image(lambda p: p.add_constraint(c))
     if isinstance(store.value, PolySet):
         below = _comparison_constraint(lhs, rhs, "lt")
         above = _comparison_constraint(lhs, rhs, "gt")
-        pieces = [p.add_constraint(below) for p in store._each()]
-        pieces += [p.add_constraint(above) for p in store._each()]
-        return store._rebuild(pieces)
+        elements = store.value.elements
+        pieces = [p.add_constraint(below) for p in elements]
+        pieces += [p.add_constraint(above) for p in elements]
+        return store._with(PolySet.reduce(store.dim, Topology.CLOSED, pieces))
     return store  # convex domain cannot express the complement of a hyperplane
-
-
-def _domain_of(store: AbstractStore) -> str:
-    return "powerset" if isinstance(store.value, PolySet) else "poly"
 
 
 def abstract_assign(store: AbstractStore, name: str, e: imp.Aexp) -> AbstractStore:
@@ -267,17 +217,18 @@ def abstract_assign(store: AbstractStore, name: str, e: imp.Aexp) -> AbstractSto
     k = store.variables.index(name)
     expr = to_linexpr(e, store.variables)
     if expr is not None:
-        return store._rebuild([p.affine_image(k, expr) for p in store._each()])
+        return store.lift_image(lambda p: p.affine_image(k, expr))
     n = store.dim
-    out = []
-    for p in store._each():
-        iv = abstract_eval_aexp(e, AbstractStore(store.variables, p))
+
+    def interval_image(p: Polyhedron) -> Polyhedron:
+        iv = abstract_eval_aexp(e, p, store.variables)
         if iv.is_bottom():
-            continue
+            return Polyhedron.empty(n, Topology.CLOSED)
         lo = None if iv.lo is None else LinExpr.constant(iv.lo, n)
         hi = None if iv.hi is None else LinExpr.constant(iv.hi, n)
-        out.append(p.bounded_affine_image(k, lo, hi))
-    return store._rebuild(out)
+        return p.bounded_affine_image(k, lo, hi)
+
+    return store.lift_image(interval_image)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +242,6 @@ class AnalysisResult:
     loop_invariants: dict[int, AbstractStore]
     widenings: int = 0
     delayed_joins: int = 0
-    local_iterations: int = 0
 
 
 def analyze(
@@ -310,7 +260,6 @@ def analyze(
         if isinstance(s, imp.Seq):
             return eval_stmt(s.second, eval_stmt(s.first, store))
         if isinstance(s, imp.If):
-            abstract_eval_bexp(s.cond, store)  # rule premise (soundness bookkeeping)
             then_out = eval_stmt(s.then, filter_store(store, s.cond, True))
             else_out = eval_stmt(s.orelse, filter_store(store, s.cond, False))
             return then_out.join(else_out)
@@ -322,22 +271,11 @@ def analyze(
         delay_left = opts.delay
         for _ in range(opts.max_local_iterations):
             result.entries[w.pid] = head
-            abstract_eval_bexp(w.cond, head)
             body_out = eval_stmt(w.body, filter_store(head, w.cond, True))
             if body_out.leq(head):
-                # subsumed recurrence: solve r = filter_ff(head) join r from bottom
-                exit_ff = filter_store(head, w.cond, False)
-                r = AbstractStore.bottom(head.variables, _domain_of(head))
-                for _ in range(opts.max_local_iterations):
-                    result.local_iterations += 1
-                    nxt = exit_ff.join(r)
-                    if nxt.leq(r):
-                        break
-                    r = nxt
-                else:
-                    raise AnalysisError("local fixpoint failed to converge")
+                # subsumed recurrence: the least r = filter_ff(head) join r is filter_ff(head)
                 result.loop_invariants[w.pid] = head
-                return exit_ff.join(r)
+                return filter_store(head, w.cond, False)
             if delay_left > 0:
                 delay_left -= 1
                 result.delayed_joins += 1

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import imp
-from .analyzer import AbstractStore, AnalysisOptions, analyze
+from .analyzer import AbstractStore, AnalysisError, AnalysisOptions, analyze
 from .hybrid import NonConvergenceError, ReachOptions, parse_automaton, reach
 from .linalg import LinExpr, format_generator
 from .parse import ParseError, parse_constraints, parse_linexpr
@@ -23,14 +23,6 @@ from .powerset import PolySet
 EXIT_INPUT_ERROR = 1
 EXIT_ENGINE_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-def _render(value, names) -> str:
-    if isinstance(value, PolySet):
-        if value.is_bottom():
-            return "{0>=1}"
-        return " | ".join(sorted(p.constraints_pretty(names) for p in value.elements))
-    return value.constraints_pretty(names)
 
 
 # ---------------------------------------------------------------------------
@@ -44,18 +36,22 @@ def cmd_analyze(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
+        opts = AnalysisOptions(domain=args.domain, delay=args.delay, cap=args.cap)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    try:
         program = imp.parse_program(text)
         names = list(program.variables)
         idx = {v: i for i, v in enumerate(names)}
         cs = parse_constraints(args.assume, idx, len(names)) if args.assume else []
-        initial = AbstractStore.from_constraints(names, cs, args.domain)
+        initial = AbstractStore.from_constraints(names, cs, opts.domain)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        opts = AnalysisOptions(domain=args.domain, delay=args.delay, cap=args.cap)
         result = analyze(program, initial, opts)
-    except Exception as e:  # engine failure
+    except (AnalysisError, ArithmeticError) as e:
         print(f"engine error: {e}", file=sys.stderr)
         return EXIT_ENGINE_ERROR
 
@@ -66,12 +62,12 @@ def cmd_analyze(args) -> int:
         stmt = by_pid[pid]
         store = result.entries[pid]
         tag = " [loop]" if pid in result.loop_invariants else ""
-        rendered = _render(store.value, names)
+        rendered = store.pretty()
         if args.format == "records":
             print(f"point\t{pid}\t{rendered}")
         else:
             print(f"point {pid} ({stmt.line}:{stmt.col}){tag}: {rendered}")
-    rendered = _render(result.exit_store.value, names)
+    rendered = result.exit_store.pretty()
     if args.format == "records":
         print(f"exit\t-\t{rendered}")
     else:
@@ -105,9 +101,13 @@ def cmd_reach(args) -> int:
                 return EXIT_INPUT_ERROR
         project_dims = [i for i, v in enumerate(names) if v not in wanted]
         kept_names = [v for v in names if v in wanted]
-    opts = ReachOptions(
-        domain=args.domain, delay=args.delay, cap=args.cap, max_iter=args.max_iter
-    )
+    try:
+        opts = ReachOptions(
+            domain=args.domain, delay=args.delay, cap=args.cap, max_iter=args.max_iter
+        )
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         result = reach(automaton, opts)
     except NonConvergenceError as e:

@@ -1,16 +1,15 @@
-"""Integer-interval and four-valued Boolean abstract domains.
+"""Integer intervals for non-affine assignments.
 
-These back the analyzer's abstract expression evaluation.  Intervals
-have integer endpoints with None standing for an infinite bound; the
-Boolean lattice is BOT <= TT, FF <= TOP.  All operations are sound and,
-for intervals over the listed arithmetic, optimal; no widening lives
+The analyzer evaluates an assignment whose right-hand side has no
+affine form on intervals and assigns the result as a bounded affine
+image.  Intervals have integer endpoints with None standing for an
+infinite bound.  The arithmetic is sound and optimal; no widening lives
 here because the analyzer only iterates on the polyhedral store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 
 @dataclass(frozen=True)
@@ -31,10 +30,6 @@ class Interval:
         return Interval(None, None, empty=True)
 
     @staticmethod
-    def top() -> Interval:
-        return Interval(None, None)
-
-    @staticmethod
     def singleton(m: int) -> Interval:
         return Interval(m, m)
 
@@ -50,24 +45,6 @@ class Interval:
             return False
         return True
 
-    def join(self, other: Interval) -> Interval:
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
-        hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
-        return Interval(lo, hi)
-
-    def meet(self, other: Interval) -> Interval:
-        if self.empty or other.empty:
-            return Interval.bottom()
-        lo = self.lo if other.lo is None else (other.lo if self.lo is None else max(self.lo, other.lo))
-        hi = self.hi if other.hi is None else (other.hi if self.hi is None else min(self.hi, other.hi))
-        if lo is not None and hi is not None and lo > hi:
-            return Interval.bottom()
-        return Interval(lo, hi)
-
     def leq(self, other: Interval) -> bool:
         if self.empty:
             return True
@@ -78,16 +55,6 @@ class Interval:
         if other.hi is not None and (self.hi is None or self.hi > other.hi):
             return False
         return True
-
-
-def alpha_int(values) -> Interval:
-    """Abstraction of a finite set of integers (or None for all of Int)."""
-    if values is None:
-        return Interval.top()
-    values = list(values)
-    if not values:
-        return Interval.bottom()
-    return Interval(min(values), max(values))
 
 
 def _add(a: int | None, b: int | None) -> int | None:
@@ -152,82 +119,3 @@ def int_arith(op: str, a: Interval, b: Interval) -> Interval:
     if op == "*":
         return int_mul(a, b)
     raise ValueError(f"unknown arithmetic operator {op!r}")
-
-
-class AbstractBool(Enum):
-    BOT = "bot"
-    TT = "tt"
-    FF = "ff"
-    TOP = "top"
-
-    def join(self, other: AbstractBool) -> AbstractBool:
-        if self is other or other is AbstractBool.BOT:
-            return self
-        if self is AbstractBool.BOT:
-            return other
-        return AbstractBool.TOP
-
-    def meet(self, other: AbstractBool) -> AbstractBool:
-        if self is other or other is AbstractBool.TOP:
-            return self
-        if self is AbstractBool.TOP:
-            return other
-        return AbstractBool.BOT
-
-    def leq(self, other: AbstractBool) -> bool:
-        return self.join(other) is other
-
-
-def gamma_bool(t: AbstractBool) -> frozenset[bool]:
-    return {
-        AbstractBool.BOT: frozenset(),
-        AbstractBool.TT: frozenset([True]),
-        AbstractBool.FF: frozenset([False]),
-        AbstractBool.TOP: frozenset([True, False]),
-    }[t]
-
-
-def alpha_bool(values) -> AbstractBool:
-    s = frozenset(values)
-    if not s:
-        return AbstractBool.BOT
-    if s == {True}:
-        return AbstractBool.TT
-    if s == {False}:
-        return AbstractBool.FF
-    return AbstractBool.TOP
-
-
-def bool_not(t: AbstractBool) -> AbstractBool:
-    return alpha_bool({not v for v in gamma_bool(t)})
-
-
-def bool_or(a: AbstractBool, b: AbstractBool) -> AbstractBool:
-    return alpha_bool({x or y for x in gamma_bool(a) for y in gamma_bool(b)})
-
-
-def bool_and(a: AbstractBool, b: AbstractBool) -> AbstractBool:
-    return alpha_bool({x and y for x in gamma_bool(a) for y in gamma_bool(b)})
-
-
-def int_compare(op: str, a: Interval, b: Interval) -> AbstractBool:
-    """Abstract = / < on intervals: TT/FF when the relation is decided."""
-    if a.empty or b.empty:
-        return AbstractBool.BOT
-    if op == "=":
-        disjoint = (
-            (a.hi is not None and b.lo is not None and a.hi < b.lo)
-            or (b.hi is not None and a.lo is not None and b.hi < a.lo)
-        )
-        if disjoint:
-            return AbstractBool.FF
-        if a.lo is not None and a.lo == a.hi == b.lo == b.hi:
-            return AbstractBool.TT
-        return AbstractBool.TOP
-    if op == "<":
-        if a.hi is not None and b.lo is not None and a.hi < b.lo:
-            return AbstractBool.TT
-        if b.hi is not None and a.lo is not None and b.hi <= a.lo:
-            return AbstractBool.FF
-        return AbstractBool.TOP
-    raise ValueError(f"unknown comparison {op!r}")

@@ -29,8 +29,10 @@ from typing import Mapping
 
 from .linalg import Constraint, canonicalize_constraint
 from .parse import ParseError, parse_constraints
-from .polyhedron import Polyhedron, Topology, standard_widening
-from .powerset import PolySet, powerset_widening
+from .polyhedron import Polyhedron, Topology
+# re-exported: perfbench/test_perfbench.py reads hybrid.standard_widening
+from .polyhedron import standard_widening  # noqa: F401
+from .powerset import PolySet, check_domain_options, lift
 
 Region = Polyhedron | PolySet
 
@@ -337,15 +339,14 @@ def parallel_compose(first: HybridAutomaton, second: HybridAutomaton) -> HybridA
             for u in second.transitions:
                 if u.label == t.label:
                     rel = _interleave_relation(t.relation.concatenate(u.relation), m, n)
-                    for b_src in {u.source}:
-                        transitions.append(
-                            Transition(
-                                prod_name(t.source, u.source),
-                                t.label,
-                                rel,
-                                prod_name(t.target, u.target),
-                            )
+                    transitions.append(
+                        Transition(
+                            prod_name(t.source, u.source),
+                            t.label,
+                            rel,
+                            prod_name(t.target, u.target),
                         )
+                    )
         else:
             rel = _embed_relation_left(t.relation, m, n)
             for b in second.locations:
@@ -387,6 +388,9 @@ class ReachOptions:
     cap: int = 8
     max_iter: int = 64
 
+    def __post_init__(self):
+        check_domain_options(self.domain, self.cap)
+
 
 @dataclass
 class ReachResult:
@@ -402,39 +406,9 @@ class NonConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def _bottom(h: HybridAutomaton, domain: str) -> Region:
-    if domain == "powerset":
-        return PolySet.bottom(h.dim, Topology.NNC)
-    return Polyhedron.empty(h.dim, Topology.NNC)
-
-
-def _region_join(a: Region, b: Region) -> Region:
-    if isinstance(a, PolySet):
-        return a.join(b)
-    return a.poly_hull(b)
-
-
-def _region_leq(a: Region, b: Region) -> bool:
-    if isinstance(a, PolySet):
-        return a.entails(b)
-    return b.contains(a)
-
-
-def _region_eq(a: Region, b: Region) -> bool:
-    return _region_leq(a, b) and _region_leq(b, a)
-
-
-def _region_widen(old: Region, new: Region, cap: int) -> Region:
-    if isinstance(old, PolySet):
-        return powerset_widening(old, new, cap)
-    return standard_widening(old, new)
-
-
-def _source_flow(region: Region, act: Polyhedron) -> Region:
+def _source_flow(p: Polyhedron, act: Polyhedron) -> Polyhedron:
     """closure(R) meet (R elapse Act): the strict-constraint correction."""
-    if isinstance(region, PolySet):
-        return region.lift_image(lambda p: p.topological_closure().intersection(p.time_elapse(act)))
-    return region.topological_closure().intersection(region.time_elapse(act))
+    return p.topological_closure().intersection(p.time_elapse(act))
 
 
 def location_update(
@@ -442,30 +416,17 @@ def location_update(
 ) -> Region:
     """One evaluation of the fixpoint right-hand side F_l."""
     loc = h.location(name)
-    if domain == "powerset":
-        inc: Region = (
-            PolySet.bottom(h.dim, Topology.NNC)
-            if loc.init.is_empty()
-            else PolySet.singleton(loc.init)
-        )
-    else:
-        inc = loc.init
+    inc = lift(loc.init, domain)
     for t in h.transitions:
         if t.target != name:
             continue
-        src_region = current[t.source]
-        src_loc = h.location(t.source)
-        flowed = _source_flow(src_region, src_loc.rate)
-        if isinstance(flowed, PolySet):
-            entry = flowed.lift_image(
-                lambda p: p.relation_image(t.relation).intersection(loc.invariant)
-            )
-        else:
-            entry = flowed.relation_image(t.relation).intersection(loc.invariant)
-        inc = _region_join(inc, entry)
-    if isinstance(inc, PolySet):
-        return inc.lift_image(lambda p: p.time_elapse(loc.rate).intersection(loc.invariant))
-    return inc.time_elapse(loc.rate).intersection(loc.invariant)
+        act = h.location(t.source).rate
+        flowed = current[t.source].lift_image(lambda p: _source_flow(p, act))
+        entry = flowed.lift_image(
+            lambda p: p.relation_image(t.relation).intersection(loc.invariant)
+        )
+        inc = inc.join(entry)
+    return inc.lift_image(lambda p: p.time_elapse(loc.rate).intersection(loc.invariant))
 
 
 def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResult:
@@ -478,7 +439,8 @@ def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResul
     """
     warnings = h.validate()
     widen_at = h.widen_at if h.widen_at else h.default_widen_set()
-    regions: dict[str, Region] = {l.name: _bottom(h, opts.domain) for l in h.locations}
+    bottom = lift(Polyhedron.empty(h.dim, Topology.NNC), opts.domain)
+    regions: dict[str, Region] = {l.name: bottom for l in h.locations}
     iterations = 0
     converged = False
     for sweep in range(1, opts.max_iter + 1):
@@ -488,13 +450,14 @@ def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResul
             f_value = location_update(h, loc.name, regions, opts.domain)
             old = regions[loc.name]
             if loc.name in widen_at and sweep > opts.delay:
-                if _region_leq(f_value, old):
+                if f_value.entails(old):
                     new = old
                 else:
-                    new = _region_widen(old, _region_join(old, f_value), opts.cap)
+                    new = old.widen(old.join(f_value), opts.cap)
             else:
-                new = _region_join(old, f_value)
-            if not _region_eq(new, old):
+                new = old.join(f_value)
+            # new is an upper bound of old, so it differs iff it is not below old
+            if not new.entails(old):
                 changed = True
                 regions[loc.name] = new
         if not changed:
@@ -508,6 +471,6 @@ def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResul
     # post-fixpoint certificate: one more independent evaluation per location
     for loc in h.locations:
         check = location_update(h, loc.name, regions, opts.domain)
-        if not _region_leq(check, regions[loc.name]):
+        if not check.entails(regions[loc.name]):
             raise AssertionError(f"converged result is not a post-fixpoint at {loc.name}")
     return result

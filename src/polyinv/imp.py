@@ -315,21 +315,18 @@ class _Parser:
         raise ParseError(f"expected a statement, got {text!r}", line, col)
 
     def sequence(self, until: str | None = None) -> Stmt:
-        stmts = [self.statement_entry(until)]
+        stmts = [self.block_or_stmt()]
         while self.at(";"):
             self.take()
             if until is not None and self.at(until):
                 break  # trailing separator
             if self.peek() is None and until is None:
                 break
-            stmts.append(self.statement_entry(until))
+            stmts.append(self.block_or_stmt())
         out = stmts[-1]
         for s in reversed(stmts[:-1]):
             out = Seq(self._next_pid(), s.line, s.col, s, out)
         return out
-
-    def statement_entry(self, until):
-        return self.block_or_stmt()
 
 
 def _renumber(program_body: Stmt) -> Stmt:

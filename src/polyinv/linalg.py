@@ -162,14 +162,6 @@ class Constraint:
     def sort_key(self):
         return (self.rel is not Rel.EQ, self.coeffs, self.rhs, self.rel.value)
 
-    def negated_strictness(self) -> Constraint:
-        """The same hyperplane side with >= <-> > swapped (EQ unchanged)."""
-        if self.rel is Rel.GE:
-            return Constraint(self.coeffs, self.rhs, Rel.GT)
-        if self.rel is Rel.GT:
-            return Constraint(self.coeffs, self.rhs, Rel.GE)
-        return self
-
 
 def canonicalize_constraint(coeffs: Sequence, rel, rhs=0) -> Constraint:
     """Build the unique canonical constraint ``<coeffs, x> rel rhs``.

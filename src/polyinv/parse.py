@@ -13,8 +13,7 @@ insignificant.  Callers provide the identifier-to-dimension mapping.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .linalg import Constraint, LinExpr, constraint_from_exprs
 
@@ -167,20 +166,3 @@ def parse_constraints(text: str, var_index: Mapping[str, int], dim: int) -> list
     for chunk in text.split(","):
         out.append(parse_constraint(chunk, var_index, dim))
     return out
-
-
-def default_var_index(names: Sequence[str]) -> dict[str, int]:
-    index: dict[str, int] = {}
-    for i, name in enumerate(names):
-        if name in index:
-            raise ParseError(f"duplicate variable name {name!r}")
-        index[name] = i
-    return index
-
-
-def parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
-    """Parse 'a, b/c, ...' as rational coordinates."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != dim:
-        raise ParseError(f"expected {dim} coordinates, got {len(parts)}")
-    return tuple(Fraction(p) for p in parts)

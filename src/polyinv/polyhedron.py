@@ -41,7 +41,7 @@ import os
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     Constraint,
@@ -743,6 +743,24 @@ class Polyhedron:
         l1, r1 = self._gens_any()
         l2, r2 = other._gens_any()
         return Polyhedron._from_rep_gens(self._dim, self._topology, l1 + l2, r1 + r2)
+
+    # -- the lattice verbs shared with PolySet -----------------------------------
+
+    def is_bottom(self) -> bool:
+        return self.is_empty()
+
+    def join(self, other: Polyhedron) -> Polyhedron:
+        return self.poly_hull(other)
+
+    def entails(self, other: Polyhedron) -> bool:
+        return other.contains(self)
+
+    def widen(self, newer: Polyhedron, cap: int) -> Polyhedron:
+        """The standard widening; ``cap`` bounds only powerset disjuncts."""
+        return standard_widening(self, newer)
+
+    def lift_image(self, op: Callable[[Polyhedron], Polyhedron]) -> Polyhedron:
+        return op(self)
 
     # -- images ------------------------------------------------------------------
 

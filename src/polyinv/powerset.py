@@ -7,6 +7,12 @@ liftings of the base-domain operations followed by redundancy removal;
 the widening collapses the collection to a bounded number of disjuncts
 and then widens element-wise, which keeps the base widening's
 termination guarantee.
+
+``PolySet`` and ``Polyhedron`` answer the same lattice verbs
+(``is_bottom``, ``join``, ``entails``, ``equals``, ``widen(newer, cap)``
+and ``lift_image(op)``), so the analyzer and the reach engine run
+unchanged over either domain; ``lift`` is the one place that turns a
+domain name into a region.
 """
 
 from __future__ import annotations
@@ -80,6 +86,9 @@ class PolySet:
     def equals(self, other: PolySet) -> bool:
         return self.entails(other) and other.entails(self)
 
+    def widen(self, newer: PolySet, cap: int) -> PolySet:
+        return powerset_widening(self, newer, cap)
+
     def lift_image(self, op: Callable[[Polyhedron], Polyhedron]) -> PolySet:
         return PolySet.reduce(self.dim, self.topology, [op(p) for p in self.elements])
 
@@ -95,6 +104,19 @@ class PolySet:
 
     def __repr__(self) -> str:
         return f"<polyset dim={self.dim} |{len(self.elements)}|>"
+
+
+def check_domain_options(domain: str, cap: int) -> None:
+    """Reject an unknown domain name or a powerset cap below 1."""
+    if domain not in ("poly", "powerset"):
+        raise ValueError(f"unknown domain {domain!r}")
+    if cap < 1:
+        raise ValueError("powerset cap must be at least 1")
+
+
+def lift(p: Polyhedron, domain: str) -> Polyhedron | PolySet:
+    """The region of domain 'poly' or 'powerset' that holds exactly p."""
+    return PolySet.singleton(p) if domain == "powerset" else p
 
 
 def _merge_to_cap(elements: list[Polyhedron], cap: int) -> list[Polyhedron]:

@@ -5,6 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from polyinv import cli
+from polyinv.analyzer import AnalysisError
 from polyinv.cli import main
 from polyinv.parse import parse_constraints
 from polyinv.polyhedron import Polyhedron, Topology
@@ -77,6 +79,27 @@ class TestAnalyze:
         )
         assert code == 0 and "exit:" in out
 
+    def test_invalid_cap_is_input_error(self, loop_path):
+        code, out, err = run_cli("analyze", loop_path, "--cap", "0")
+        assert (code, out) == (1, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize("failure", [AnalysisError, ArithmeticError])
+    def test_engine_failure_exit_code(self, loop_path, monkeypatch, failure):
+        def fail(*args):
+            raise failure("limit exceeded")
+
+        monkeypatch.setattr(cli, "analyze", fail)
+        code, _, err = run_cli("analyze", loop_path)
+        assert code == 2 and err.startswith("engine error: ")
+
+    def test_engine_bug_is_not_hidden(self, loop_path, monkeypatch):
+        def bug(*args):
+            raise KeyError("x9")
+
+        monkeypatch.setattr(cli, "analyze", bug)
+        with pytest.raises(KeyError):
+            run_cli("analyze", loop_path)
+
 
 class TestReach:
     def test_water_golden(self, water_path):
@@ -113,6 +136,10 @@ class TestReach:
         p.write_text("vars x\nlocation")
         code, _, err = run_cli("reach", str(p))
         assert code == 1
+
+    def test_invalid_cap_is_input_error(self, scheduler_path):
+        code, out, err = run_cli("reach", scheduler_path, "--domain", "powerset", "--cap", "0")
+        assert (code, out) == (1, "") and err.startswith("error: ")
 
     def test_scheduler_projection(self, scheduler_path):
         code, out, _ = run_cli("reach", scheduler_path, "--project", "k1,k2")

@@ -1,21 +1,10 @@
-"""Interval and abstract-Boolean domains: examples plus soundness by exhaustion."""
+"""Interval arithmetic: examples plus soundness by exhaustion."""
 
 from itertools import product
 
 import pytest
 
-from polyinv.domains import (
-    AbstractBool,
-    Interval,
-    alpha_bool,
-    alpha_int,
-    bool_and,
-    bool_not,
-    bool_or,
-    gamma_bool,
-    int_arith,
-    int_compare,
-)
+from polyinv.domains import Interval, int_arith
 
 CONCRETE_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}
 
@@ -49,30 +38,6 @@ def test_infinite_endpoint_products():
     assert int_arith("*", Interval(None, -1), Interval(None, -1)) == Interval(1, None)
 
 
-def test_compare_examples():
-    assert int_compare("<", Interval(1, 2), Interval(3, 4)) is AbstractBool.TT
-    assert int_compare("=", Interval(0, 5), Interval(3, 3)) is AbstractBool.TOP
-    assert int_compare("=", Interval(2, 2), Interval(2, 2)) is AbstractBool.TT
-    assert int_compare("<", Interval(3, 4), Interval(0, 1)) is AbstractBool.FF
-    assert int_compare("=", Interval.bottom(), Interval(0, 1)) is AbstractBool.BOT
-
-
-def test_bool_tables():
-    assert bool_not(AbstractBool.TOP) is AbstractBool.TOP
-    assert bool_or(AbstractBool.FF, AbstractBool.TT) is AbstractBool.TT
-    assert bool_or(AbstractBool.TT, AbstractBool.TOP) is AbstractBool.TT
-    assert bool_and(AbstractBool.TOP, AbstractBool.FF) is AbstractBool.FF
-    assert bool_and(AbstractBool.TT, AbstractBool.TT) is AbstractBool.TT
-
-
-def test_alpha():
-    assert alpha_int([7]) == Interval(7, 7)
-    assert alpha_int(None) == Interval.top()
-    assert alpha_int([]).is_bottom()
-    assert alpha_bool([True]) is AbstractBool.TT
-    assert alpha_bool([True, False]) is AbstractBool.TOP
-
-
 def _small_intervals():
     bounds = [None, -3, -2, -1, 0, 1, 2, 3]
     out = [Interval.bottom()]
@@ -97,19 +62,6 @@ def test_soundness_by_exhaustion():
             for x in xs:
                 for y in ys:
                     assert res.contains(f(x, y)), (op, a, b, x, y)
-        for op, f in (("=", lambda x, y: x == y), ("<", lambda x, y: x < y)):
-            res = int_compare(op, a, b)
-            concrete = {f(x, y) for x in xs for y in ys}
-            assert concrete <= gamma_bool(res), (op, a, b)
-
-
-def test_bool_soundness_by_exhaustion():
-    vals = list(AbstractBool)
-    for a in vals:
-        assert {not v for v in gamma_bool(a)} <= gamma_bool(bool_not(a))
-        for b in vals:
-            assert {x or y for x in gamma_bool(a) for y in gamma_bool(b)} <= gamma_bool(bool_or(a, b))
-            assert {x and y for x in gamma_bool(a) for y in gamma_bool(b)} <= gamma_bool(bool_and(a, b))
 
 
 def test_monotonicity():
@@ -119,18 +71,6 @@ def test_monotonicity():
     for a, b in pairs:
         for op in "+-*":
             assert int_arith(op, a, probe).leq(int_arith(op, b, probe))
-        for op in ("=", "<"):
-            assert int_compare(op, a, probe).leq(int_compare(op, b, probe))
-
-
-def test_join_meet_laws():
-    small = _small_intervals()
-    for a in small[:12]:
-        for b in small[:12]:
-            j = a.join(b)
-            assert a.leq(j) and b.leq(j)
-            m = a.meet(b)
-            assert m.leq(a) and m.leq(b)
 
 
 def test_invalid_interval_rejected():

@@ -196,6 +196,11 @@ class TestReach:
         res = reach(h)
         assert res.regions["a"].equals(nnc("0<=x, x<=5", ["x"]))
 
+    @pytest.mark.parametrize("bad", [{"domain": "powerst"}, {"cap": 0}], ids=["domain", "cap"])
+    def test_options_reject_unknown_domain_and_zero_cap(self, bad):
+        with pytest.raises(ValueError):
+            ReachOptions(**bad)
+
     def test_max_iter_exceeded_raises(self):
         h = parse_automaton(example_text("water.lha"))
         with pytest.raises(NonConvergenceError):
@@ -212,16 +217,14 @@ class TestReach:
 
     def test_monotone_sweeps_before_widening(self):
         h = parse_automaton(example_text("water.lha"))
-        from polyinv.hybrid import _bottom, _region_join, _region_leq
-
-        regions = {l.name: _bottom(h, "poly") for l in h.locations}
+        regions = {l.name: Polyhedron.empty(h.dim, Topology.NNC) for l in h.locations}
         previous = dict(regions)
         for _ in range(3):
             for loc in h.locations:
                 f = location_update(h, loc.name, regions)
-                regions[loc.name] = _region_join(regions[loc.name], f)
+                regions[loc.name] = regions[loc.name].join(f)
             for name in regions:
-                assert _region_leq(previous[name], regions[name])
+                assert previous[name].entails(regions[name])
             previous = dict(regions)
 
 

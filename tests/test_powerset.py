@@ -2,10 +2,11 @@ import pytest
 
 from polyinv.parse import parse_constraints
 from polyinv.polyhedron import Polyhedron, Topology, standard_widening
-from polyinv.powerset import PolySet, powerset_widening
+from polyinv.powerset import PolySet, lift, powerset_widening
 
 X = {"x": 0}
 X01 = {"x0": 0, "x1": 1}
+DOMAINS = ("poly", "powerset")
 
 
 def interval(text):
@@ -14,6 +15,14 @@ def interval(text):
 
 def pset(*polys, dim=1):
     return PolySet.reduce(dim, Topology.CLOSED, list(polys))
+
+
+def region(domain, *texts):
+    """The join of the given intervals, as a region of the domain."""
+    acc = lift(Polyhedron.empty(1, Topology.CLOSED), domain)
+    for text in texts:
+        acc = acc.join(lift(interval(text), domain))
+    return acc
 
 
 def test_reduce_drops_subsumed():
@@ -145,22 +154,34 @@ def test_reduce_idempotent_and_lattice_laws():
     c = pset(interval("x>=1, x<=2"))
     again = PolySet.reduce(1, Topology.CLOSED, a.join(b).elements)
     assert again.equals(a.join(b))
-    assert a.join(b).equals(b.join(a))
     assert a.meet(b).equals(b.meet(a))
-    assert a.join(b).join(c).equals(a.join(b.join(c)))
     assert a.meet(b).meet(c).equals(a.meet(b.meet(c)))
+    # the verbs Polyhedron and PolySet share obey the same laws
+    for domain in DOMAINS:
+        a = region(domain, "x>=0, x<=1")
+        b = region(domain, "x>=2, x<=3")
+        c = region(domain, "x>=1, x<=2")
+        assert a.join(b).equals(b.join(a)), domain
+        assert a.join(b).join(c).equals(a.join(b.join(c))), domain
+        assert a.entails(a.join(b)) and b.entails(a.join(b)), domain
+        ab = a.join(b)
+        assert ab.join(c).entails(ab.widen(ab.join(c), 4)), domain
+        assert a.lift_image(lambda p: p).equals(a), domain
+        assert region(domain).is_bottom() and not a.is_bottom(), domain
 
 
 def test_entails_is_a_partial_order_modulo_equality():
-    a = pset(interval("x>=0, x<=1"))
-    b = pset(interval("x>=0, x<=3"))
-    c = pset(interval("x>=0, x<=3"), interval("x>=5, x<=6"))
-    assert a.entails(a)
-    assert a.entails(b) and b.entails(c)
-    assert a.entails(c)  # transitivity
-    assert not (b.entails(a) or c.entails(b))
-    d = pset(interval("x>=0, x<=1"), interval("x>=1, x<=3"))
-    e = pset(interval("x>=0, x<=3"))
-    # antisymmetry holds modulo semantic equality of reduced sets
-    if d.entails(e) and e.entails(d):
-        assert d.equals(e)
+    for domain in DOMAINS:
+        a = region(domain, "x>=0, x<=1")
+        b = region(domain, "x>=0, x<=3")
+        c = region(domain, "x>=0, x<=3", "x>=5, x<=6")
+        assert a.entails(a), domain
+        assert a.entails(b) and b.entails(c), domain
+        assert a.entails(c), domain  # transitivity
+        assert not (b.entails(a) or c.entails(b)), domain
+        assert region(domain).entails(a), domain
+        d = region(domain, "x>=0, x<=1", "x>=1, x<=3")
+        e = region(domain, "x>=0, x<=3")
+        # antisymmetry holds modulo semantic equality of reduced sets
+        if d.entails(e) and e.entails(d):
+            assert d.equals(e), domain
