@@ -148,13 +148,30 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
+def _line_col(body: str, pos: int) -> tuple[int, int]:
+    return body.count("\n", 0, pos) + 1, pos - body.rfind("\n", 0, pos)
+
+
+def _check_covered(body: str, spans: list[tuple[int, int]]) -> None:
+    """Reject the first text that no recognized declaration covers."""
+    pos = 0
+    for start, end in sorted(spans) + [(len(body), len(body))]:
+        stray = re.compile(r"\S+").search(body, pos, start)
+        if stray is not None:
+            raise ParseError(f"unexpected text {stray.group()!r}", *_line_col(body, stray.start()))
+        pos = max(pos, end)
+
+
 def parse_automaton(text: str) -> HybridAutomaton:
     """Parse the `.lha` format; see the package README for the grammar."""
     body = _strip_comments(text)
-    mvars = re.search(rf"vars\s+({_NAME}(?:\s*,\s*{_NAME})*)\s*;", body)
-    if mvars is None:
+    decls = list(re.finditer(rf"vars\s+({_NAME}(?:\s*,\s*{_NAME})*)\s*;", body))
+    if not decls:
         raise ParseError("missing 'vars' declaration")
-    variables = tuple(v.strip() for v in mvars.group(1).split(","))
+    if len(decls) > 1:
+        raise ParseError("repeated 'vars' declaration", *_line_col(body, decls[1].start()))
+    spans = [decls[0].span()]
+    variables = tuple(v.strip() for v in decls[0].group(1).split(","))
     if len(set(variables)) != len(variables):
         raise ParseError("duplicate variable names")
     n = len(variables)
@@ -167,6 +184,7 @@ def parse_automaton(text: str) -> HybridAutomaton:
     labels = set()
     for m in re.finditer(rf"label\s+({_NAME}(?:\s*,\s*{_NAME})*)\s*;", body):
         labels.update(x.strip() for x in m.group(1).split(","))
+        spans.append(m.span())
 
     def region(text_part: str, idx: Mapping[str, int], dim: int) -> Polyhedron:
         cs = parse_constraints(text_part, idx, dim)
@@ -175,6 +193,7 @@ def parse_automaton(text: str) -> HybridAutomaton:
     locations: list[Location] = []
     for m in _LOC_RE.finditer(body):
         name, inner = m.group(1), m.group(2)
+        spans.append(m.span())
         fields = _split_fields(inner, {"invariant", "rate", "init"})
         if "rate" not in fields:
             raise ParseError(f"location {name!r} has no rate section")
@@ -191,6 +210,7 @@ def parse_automaton(text: str) -> HybridAutomaton:
     transitions: list[Transition] = []
     for m in _TRANS_RE.finditer(body):
         src, dst, label, inner = m.group(1), m.group(2), m.group(3), m.group(4)
+        spans.append(m.span())
         for nm in (src, dst):
             if nm not in loc_names:
                 raise ParseError(f"unknown location {nm!r} in transition")
@@ -223,6 +243,8 @@ def parse_automaton(text: str) -> HybridAutomaton:
             if nm not in loc_names:
                 raise ParseError(f"unknown location {nm!r} in widen directive")
             widen_at.add(nm)
+        spans.append(m.span())
+    _check_covered(body, spans)
 
     return HybridAutomaton(
         variables, tuple(locations), frozenset(labels), tuple(transitions), frozenset(widen_at)
@@ -412,20 +434,36 @@ def _source_flow(p: Polyhedron, act: Polyhedron) -> Polyhedron:
 
 
 def location_update(
-    h: HybridAutomaton, name: str, current: Mapping[str, Region], domain: str = "poly"
+    h: HybridAutomaton,
+    name: str,
+    current: Mapping[str, Region],
+    domain: str = "poly",
+    *,
+    entries: dict[int, tuple[Region, Region]] | None = None,
 ) -> Region:
-    """One evaluation of the fixpoint right-hand side F_l."""
+    """One evaluation of the fixpoint right-hand side F_l.
+
+    ``entries`` is a memo the caller keeps across calls: it maps a
+    transition's index in ``h.transitions`` to (source region, entry
+    region), and an entry is reused while ``current[t.source]`` is that
+    same source object.  Without it every entry is computed afresh.
+    """
     loc = h.location(name)
     inc = lift(loc.init, domain)
-    for t in h.transitions:
+    entries = {} if entries is None else entries
+    for i, t in enumerate(h.transitions):
         if t.target != name:
             continue
-        act = h.location(t.source).rate
-        flowed = current[t.source].lift_image(lambda p: _source_flow(p, act))
-        entry = flowed.lift_image(
-            lambda p: p.relation_image(t.relation).intersection(loc.invariant)
-        )
-        inc = inc.join(entry)
+        source = current[t.source]
+        memo = entries.get(i)
+        if memo is None or memo[0] is not source:
+            act = h.location(t.source).rate
+            flowed = source.lift_image(lambda p: _source_flow(p, act))
+            entry = flowed.lift_image(
+                lambda p: p.relation_image(t.relation).intersection(loc.invariant)
+            )
+            memo = entries[i] = (source, entry)
+        inc = inc.join(memo[1])
     return inc.lift_image(lambda p: p.time_elapse(loc.rate).intersection(loc.invariant))
 
 
@@ -443,11 +481,12 @@ def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResul
     regions: dict[str, Region] = {l.name: bottom for l in h.locations}
     iterations = 0
     converged = False
+    entries: dict[int, tuple[Region, Region]] = {}  # shared by all sweeps
     for sweep in range(1, opts.max_iter + 1):
         iterations = sweep
         changed = False
         for loc in h.locations:
-            f_value = location_update(h, loc.name, regions, opts.domain)
+            f_value = location_update(h, loc.name, regions, opts.domain, entries=entries)
             old = regions[loc.name]
             if loc.name in widen_at and sweep > opts.delay:
                 if f_value.entails(old):

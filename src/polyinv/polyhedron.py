@@ -18,8 +18,11 @@ combinatorial saturation test (two rays are adjacent iff no third ray
 saturates a superset of their common saturated rows).  Keeping the
 lineality space explicit is what makes that test sound: the ray cone is
 pointed modulo the lines, so rays are genuine extreme rays and the
-conversion output is minimal.  Running the conversion once in each
-direction therefore minimizes both descriptions.
+conversion output is minimal.  Conversion is lazy and runs at most
+once per description: a value built from rows converts them to its
+minimal generators and those back to its minimal rows; a value built
+from generators converts them to its minimal rows and those to its
+minimal generators.  A description nobody reads is never computed.
 
 Not-necessarily-closed (NNC) polyhedra are embedded as closed polyhedra
 with one extra slack dimension ``eps``: a strict ``<a, x> > b`` becomes
@@ -31,8 +34,8 @@ NNC values are semantic (mutual inclusion of the encoded sets), never
 comparisons of the internal embedding.
 
 Everything here is exact integer/rational arithmetic; values are
-immutable after construction (the lazily completed second description
-is an idempotent internal cache, safe to recompute concurrently).
+immutable after construction (the lazily converted descriptions are
+idempotent internal caches, safe to recompute concurrently).
 """
 
 from __future__ import annotations
@@ -373,11 +376,7 @@ class Polyhedron:
         lines = tuple(lines)
         rays = tuple(rays)
         p._gens = (lines, rays)
-        if topology is Topology.CLOSED:
-            p._empty = not any(r[0] > 0 for r in rays)
-        else:
-            e = p._eps_col()
-            p._empty = not any(r[0] > 0 and r[e] > 0 for r in rays)
+        p._empty = p._is_empty_gens(p._gens)
         return p
 
     @classmethod
@@ -462,25 +461,13 @@ class Polyhedron:
     # -- lazy descriptions -------------------------------------------------
 
     def _rows_any(self) -> tuple[Row, ...]:
-        if self._rows is not None:
-            return self._rows
-        if self._min_rows is not None:
-            self._rows = self._min_rows
-            return self._rows
-        self._minimize()
-        assert self._min_rows is not None
-        self._rows = self._min_rows
+        if self._rows is None:
+            self._rows = self._minimal_rows()
         return self._rows
 
     def _gens_any(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        if self._gens is not None:
-            return self._gens
-        if self._min_gens is not None:
-            self._gens = self._min_gens
-            return self._gens
-        self._minimize()
-        assert self._min_gens is not None
-        self._gens = self._min_gens
+        if self._gens is None:
+            self._gens = self._minimal_gens()
         return self._gens
 
     def _forward(self, rows: Sequence[Row]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -499,52 +486,26 @@ class Polyhedron:
         e = self._eps_col()
         return not any(r[0] > 0 and r[e] > 0 for r in rays)
 
-    def _minimize(self) -> None:
-        if self._min_rows is not None and self._min_gens is not None:
-            return
-        if self._empty is True:
-            self._min_rows = ((tuple([-1] + [0] * self._rep_dim), False),)  # 0 >= 1
-            self._min_gens = ((), ())
-            return
-        if self._rows is not None:
-            gens = self._forward(self._rows)
-            if self._is_empty_gens(gens):
-                self._empty = True
-                self._min_rows = None
-                self._min_gens = None
-                self._minimize()
-                return
-            self._empty = False
-            self._min_gens = gens
-            self._min_rows = tuple(_dual_rows(self._hom_dim, *gens))
-            return
-        assert self._gens is not None
-        rows = tuple(_dual_rows(self._hom_dim, *self._gens))
-        self._min_rows = rows
-        gens = self._forward(rows)
-        self._empty = self._is_empty_gens(gens)
-        if self._empty:
-            self._min_rows = None
-            self._min_gens = None
-            self._minimize()
-        else:
-            self._min_gens = gens
+    def _minimal_gens(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        if self._min_gens is None:
+            gens = ((), ()) if self._empty else self._forward(self._rows_any())
+            self._empty = self._is_empty_gens(gens)
+            self._min_gens = ((), ()) if self._empty else gens
+        return self._min_gens
 
     def _minimal_rows(self) -> tuple[Row, ...]:
-        self._minimize()
-        assert self._min_rows is not None
+        if self._min_rows is None:
+            if self.is_empty():
+                self._min_rows = ((tuple([-1] + [0] * self._rep_dim), False),)  # 0 >= 1
+            else:
+                self._min_rows = tuple(_dual_rows(self._hom_dim, *self._gens_any()))
         return self._min_rows
-
-    def _minimal_gens(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        self._minimize()
-        assert self._min_gens is not None
-        return self._min_gens
 
     # -- predicates ----------------------------------------------------------
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            self._minimize()
+            self._minimal_gens()
         return bool(self._empty)
 
     def is_universe(self) -> bool:
@@ -936,7 +897,6 @@ class Polyhedron:
         if self.is_empty():
             return self
         cols = [0] * self._hom_dim
-        cols[0] = 0
         for old, new in enumerate(perm):
             cols[1 + new] = 1 + old
         if self._topology is Topology.NNC:

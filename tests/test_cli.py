@@ -137,6 +137,12 @@ class TestReach:
         code, _, err = run_cli("reach", str(p))
         assert code == 1
 
+    def test_misspelled_transition_is_input_error(self, tmp_path):
+        p = tmp_path / "water.lha"
+        p.write_text(example_text("water.lha").replace("transition", "transtion"))
+        code, out, err = run_cli("reach", str(p))
+        assert (code, out) == (1, "") and err.startswith("error: 13:1: ")
+
     def test_invalid_cap_is_input_error(self, scheduler_path):
         code, out, err = run_cli("reach", scheduler_path, "--domain", "powerset", "--cap", "0")
         assert (code, out) == (1, "") and err.startswith("error: ")

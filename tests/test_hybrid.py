@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyinv import hybrid
 from polyinv.hybrid import (
     HybridAutomaton,
     NonConvergenceError,
@@ -16,6 +17,7 @@ from polyinv.hybrid import (
 )
 from polyinv.parse import ParseError, parse_constraints
 from polyinv.polyhedron import Polyhedron, Topology
+from polyinv.powerset import PolySet, lift
 
 from .paths import example_text
 
@@ -66,6 +68,28 @@ class TestParsing:
     def test_strict_guard_allowed(self):
         h = parse_automaton(example_text("fischer.lha"))
         assert len(h.locations) == 6 and len(h.transitions) == 8
+
+    @pytest.mark.parametrize(
+        "text, where, what",
+        [
+            (example_text("water.lha").replace("transition", "transtion"), (13, 1), "transtion"),
+            ("vars x;\nlocation a { rate: dx = 1; init: x = 0; }\nbogus text here\n", (3, 1), "bogus"),
+            ("vars x;\nlocation a { rate: dx = 1; }\n  vars y;\n", (3, 3), "repeated 'vars'"),
+            ("vars x; location a { rate: dx = 1; } widen a;", (1, 38), "widen"),
+        ],
+        ids=["misspelled-keyword", "stray-text", "repeated-vars", "malformed-widen"],
+    )
+    def test_unrecognized_text_rejected_with_position(self, text, where, what):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        assert (err.value.line, err.value.col) == where
+        assert what in str(err.value)
+
+    def test_comments_and_blank_lines_accepted(self):
+        h = parse_automaton(
+            "# header\n\nvars x;  # the clock\nlocation a { rate: dx = 1; }  # transtion a -> a\n"
+        )
+        assert [l.name for l in h.locations] == ["a"] and not h.transitions
 
 
 class TestComposition:
@@ -146,6 +170,33 @@ class TestLocationUpdate:
         out = location_update(h, "a", {"a": Polyhedron.empty(1, Topology.NNC)})
         assert out.equals(nnc("x=3", ["x"]))
 
+    @pytest.mark.parametrize("domain", ["poly", "powerset"])
+    def test_memo_entry_goes_stale_with_its_source(self, domain):
+        h = parse_automaton(example_text("scheduler.lha"))
+        names = list(h.variables)
+        idx = {v: i for i, v in enumerate(names)}
+
+        def rendered(region):
+            elements = region.elements if isinstance(region, PolySet) else (region,)
+            return [p.constraints_pretty(names) for p in elements]
+
+        before = {l.name: lift(l.init, domain) for l in h.locations}
+        after = dict(before)
+        idle = h.location("Idle").init.add_constraints(parse_constraints("c2>=5", idx, h.dim))
+        after["Idle"] = lift(idle, domain)
+        fresh = location_update(h, "Task1", after, domain)
+        assert rendered(fresh) != rendered(location_update(h, "Task1", before, domain))
+
+        entries = {}
+        location_update(h, "Task1", before, domain, entries=entries)
+        kept = {i: e for i, e in entries.items() if h.transitions[i].source != "Idle"}
+        out = location_update(h, "Task1", after, domain, entries=entries)
+        assert rendered(out) == rendered(fresh)
+        for i, (source, _) in entries.items():
+            assert source is after[h.transitions[i].source]
+            if i in kept:
+                assert entries[i] is kept[i]  # unchanged source: entry reused
+
 
 class TestReach:
     def test_water_monitor_regions(self):
@@ -200,6 +251,21 @@ class TestReach:
     def test_options_reject_unknown_domain_and_zero_cap(self, bad):
         with pytest.raises(ValueError):
             ReachOptions(**bad)
+
+    def test_sweeps_share_a_memo_and_the_certificate_runs_without(self, monkeypatch):
+        h = parse_automaton(example_text("water.lha"))
+        memos = []
+
+        def spy(*args, entries=None):
+            memos.append(entries)
+            return location_update(*args, entries=entries)
+
+        monkeypatch.setattr(hybrid, "location_update", spy)
+        res = reach(h)
+        n = len(h.locations)
+        assert len(memos) == (res.iterations + 1) * n
+        assert memos[-n:] == [None] * n
+        assert memos[0] is not None and all(m is memos[0] for m in memos[:-n])
 
     def test_max_iter_exceeded_raises(self):
         h = parse_automaton(example_text("water.lha"))

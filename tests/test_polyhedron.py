@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyinv import polyhedron
 from polyinv.linalg import GenKind, Generator, LinExpr, Rel, canonicalize_constraint
 from polyinv.parse import parse_constraints
 from polyinv.polyhedron import (
@@ -89,6 +90,66 @@ class TestConversion:
         back = Polyhedron.from_generators(2, Topology.CLOSED, p.minimized_generators())
         assert back.equals(p)
         assert back.contains_point([5, -5]) and not back.contains_point([0, -1])
+
+
+class TestLazyConversion:
+    """Each description is converted only when asked for, at most once."""
+
+    @pytest.fixture()
+    def conversions(self, monkeypatch):
+        calls = []  # ("dd" | "dual", homogeneous dimension) per conversion
+        dd_cone, dual_rows = polyhedron._dd_cone, polyhedron._dual_rows
+
+        def counting_dd_cone(dim, rows):
+            calls.append(("dd", dim))
+            return dd_cone(dim, rows)
+
+        def counting_dual_rows(hom_dim, lines, rays):
+            calls.append(("dual", hom_dim))
+            return dual_rows(hom_dim, lines, rays)
+
+        monkeypatch.setattr(polyhedron, "_dd_cone", counting_dd_cone)
+        monkeypatch.setattr(polyhedron, "_dual_rows", counting_dual_rows)
+        return calls
+
+    @staticmethod
+    def taken(calls, kind="dd"):
+        n = sum(1 for k, _ in calls if k == kind)
+        calls.clear()
+        return n
+
+    def test_rows_built_value(self, conversions):
+        p = poly("x0>=0, x0<=2, x1>=0, x1<=2, x0+x1<=3")
+        assert not p.is_empty()
+        assert self.taken(conversions) == 1
+        assert len(p.minimized_constraints()) == 5
+        assert self.taken(conversions) == 1
+        p.minimized_constraints()
+        p.is_empty()
+        assert self.taken(conversions) == 0
+
+    def test_gens_built_values(self, conversions):
+        a = Polyhedron.from_generators(2, Topology.CLOSED, [Generator.point([0, 0])])
+        b = Polyhedron.from_generators(
+            2, Topology.CLOSED, [Generator.point([1, 0]), Generator.point([0, 1])]
+        )
+        hull = a.poly_hull(b)
+        assert not hull.is_empty() and not a.is_empty()
+        assert self.taken(conversions) == 0
+        assert len(hull.minimized_generators()) == 3
+        assert self.taken(conversions) == 2
+
+    def test_relation_image_skips_the_wide_dual(self, conversions):
+        p = poly("w>=1, w<=10", index=WX)
+        rel_index = {"w": 0, "x": 1, "w'": 2, "x'": 3}
+        rel = Polyhedron.from_constraints(
+            4, Topology.CLOSED, parse_constraints("w'=w+1, x'=0", rel_index, 4)
+        )
+        image = p.relation_image(rel)
+        assert not image.is_empty()
+        assert ("dd", 5) in conversions  # the 2n-dimensional meet is converted ...
+        assert ("dual", 5) not in conversions  # ... and never dual-converted
+        assert image.equals(poly("w>=2, w<=11, x=0", index=WX))
 
 
 class TestPredicates:
