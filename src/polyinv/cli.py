@@ -32,7 +32,7 @@ EXIT_NO_CONVERGENCE = 3
 def cmd_analyze(args) -> int:
     try:
         text = open(args.file).read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
@@ -82,7 +82,7 @@ def cmd_analyze(args) -> int:
 def cmd_reach(args) -> int:
     try:
         text = open(args.file).read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
@@ -354,7 +354,7 @@ class _PolyScript:
 def cmd_poly(args) -> int:
     try:
         script = open(args.script).read() if args.script != "-" else sys.stdin.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

@@ -23,12 +23,11 @@ converged result is re-checked to be a post-fixpoint.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .linalg import Constraint, canonicalize_constraint
-from .parse import ParseError, parse_constraints
+from .parse import ParseError, Tokens, constraint_list
 from .polyhedron import Polyhedron, Topology
 # re-exported: perfbench/test_perfbench.py reads hybrid.standard_widening
 from .polyhedron import standard_widening  # noqa: F401
@@ -137,43 +136,30 @@ class HybridAutomaton:
 # Text format
 # ---------------------------------------------------------------------------
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
-_LOC_RE = re.compile(rf"location\s+({_NAME})\s*\{{(.*?)\}}", re.S)
-_TRANS_RE = re.compile(
-    rf"transition\s+({_NAME})\s*->\s*({_NAME})(?:\s+sync\s+({_NAME}))?\s*\{{(.*?)\}}", re.S
-)
-
-
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-
-
-def _line_col(body: str, pos: int) -> tuple[int, int]:
-    return body.count("\n", 0, pos) + 1, pos - body.rfind("\n", 0, pos)
-
-
-def _check_covered(body: str, spans: list[tuple[int, int]]) -> None:
-    """Reject the first text that no recognized declaration covers."""
-    pos = 0
-    for start, end in sorted(spans) + [(len(body), len(body))]:
-        stray = re.compile(r"\S+").search(body, pos, start)
-        if stray is not None:
-            raise ParseError(f"unexpected text {stray.group()!r}", *_line_col(body, stray.start()))
-        pos = max(pos, end)
-
-
 def parse_automaton(text: str) -> HybridAutomaton:
-    """Parse the `.lha` format; see the package README for the grammar."""
-    body = _strip_comments(text)
-    decls = list(re.finditer(rf"vars\s+({_NAME}(?:\s*,\s*{_NAME})*)\s*;", body))
-    if not decls:
-        raise ParseError("missing 'vars' declaration")
-    if len(decls) > 1:
-        raise ParseError("repeated 'vars' declaration", *_line_col(body, decls[1].start()))
-    spans = [decls[0].span()]
-    variables = tuple(v.strip() for v in decls[0].group(1).split(","))
-    if len(set(variables)) != len(variables):
-        raise ParseError("duplicate variable names")
+    """Parse the `.lha` format (the package README has an example):
+
+        automaton   ::= 'vars' names declaration*
+        declaration ::= 'label' names
+                      | 'location' NAME '{' sections '}'
+                      | 'transition' NAME '->' NAME ['sync' NAME] '{' sections '}'
+                      | 'widen' ':' names
+        sections    ::= [KEY ':' constraints] (';' [KEY ':' constraints])*
+        names       ::= NAME (',' NAME)* ';'
+
+    Location sections are `invariant` (default universe), `rate`
+    (required; `d<var>` names a derivative) and `init` (default empty);
+    transition sections are `guard` and `update` (primed names are
+    target values).  Location names are checked after the last
+    declaration, so a transition may come before its locations.
+    """
+    ts = Tokens(text)
+    ts.take("vars")
+    variables: list[str] = []
+    for tok in ts.names():
+        if tok[1] in variables:
+            raise ParseError(f"duplicate variable {tok[1]!r}", tok[2], tok[3])
+        variables.append(tok[1])
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
     rate_index = {f"d{v}": i for i, v in enumerate(variables)}
@@ -181,91 +167,97 @@ def parse_automaton(text: str) -> HybridAutomaton:
     for i, v in enumerate(variables):
         rel_index[f"{v}'"] = n + i
 
-    labels = set()
-    for m in re.finditer(rf"label\s+({_NAME}(?:\s*,\s*{_NAME})*)\s*;", body):
-        labels.update(x.strip() for x in m.group(1).split(","))
-        spans.append(m.span())
+    def region(cs: list[Constraint] | None, default: Polyhedron) -> Polyhedron:
+        return Polyhedron.from_constraints(n, Topology.NNC, cs) if cs else default
 
-    def region(text_part: str, idx: Mapping[str, int], dim: int) -> Polyhedron:
-        cs = parse_constraints(text_part, idx, dim)
-        return Polyhedron.from_constraints(dim, Topology.NNC, cs)
-
+    labels: set[str] = set()
     locations: list[Location] = []
-    for m in _LOC_RE.finditer(body):
-        name, inner = m.group(1), m.group(2)
-        spans.append(m.span())
-        fields = _split_fields(inner, {"invariant", "rate", "init"})
-        if "rate" not in fields:
-            raise ParseError(f"location {name!r} has no rate section")
-        inv = region(fields.get("invariant", ""), index, n) if fields.get("invariant", "").strip() else Polyhedron.universe(n, Topology.NNC)
-        rate = region(fields["rate"], rate_index, n) if fields["rate"].strip() else Polyhedron.universe(n, Topology.NNC)
-        init = region(fields["init"], index, n) if fields.get("init", "").strip() else Polyhedron.empty(n, Topology.NNC)
-        if any(l.name == name for l in locations):
-            raise ParseError(f"duplicate location {name!r}")
-        locations.append(Location(name, inv, rate, init))
-    if not locations:
-        raise ParseError("automaton has no locations")
-    loc_names = {l.name for l in locations}
-
     transitions: list[Transition] = []
-    for m in _TRANS_RE.finditer(body):
-        src, dst, label, inner = m.group(1), m.group(2), m.group(3), m.group(4)
-        spans.append(m.span())
-        for nm in (src, dst):
-            if nm not in loc_names:
-                raise ParseError(f"unknown location {nm!r} in transition")
-        if label is not None:
-            labels.add(label)
-        fields = _split_fields(inner, {"guard", "update"})
-        cs: list[Constraint] = []
-        primed_seen: set[int] = set()
-        if fields.get("guard", "").strip():
-            cs.extend(parse_constraints(fields["guard"], index, 2 * n))
-        if fields.get("update", "").strip():
-            update_cs = parse_constraints(fields["update"], rel_index, 2 * n)
-            for c in update_cs:
-                for d in range(n, 2 * n):
-                    if c.coeffs[d] != 0:
-                        primed_seen.add(d - n)
-            cs.extend(update_cs)
-        for i in range(n):
-            if i not in primed_seen:  # omitted primed variables keep their value
-                coeffs = [0] * (2 * n)
-                coeffs[i] = 1
-                coeffs[n + i] = -1
-                cs.append(canonicalize_constraint(coeffs, "=", 0))
-        rel = Polyhedron.from_constraints(2 * n, Topology.NNC, cs)
-        transitions.append(Transition(src, label, rel, dst))
-
     widen_at: set[str] = set()
-    for m in re.finditer(rf"widen\s*:\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*;", body):
-        for nm in (x.strip() for x in m.group(1).split(",")):
-            if nm not in loc_names:
-                raise ParseError(f"unknown location {nm!r} in widen directive")
-            widen_at.add(nm)
-        spans.append(m.span())
-    _check_covered(body, spans)
-
+    references = []  # (location name token, where), checked at the end
+    while not ts.at_end():
+        tok = ts.peek()
+        if tok[1] == "vars":
+            raise ParseError("repeated 'vars' declaration", tok[2], tok[3])
+        if tok[1] not in ("label", "location", "transition", "widen"):
+            ts.error("expected a declaration")
+        ts.take()
+        if tok[1] == "label":
+            labels.update(t[1] for t in ts.names())
+        elif tok[1] == "widen":
+            ts.take(":")
+            for t in ts.names():
+                references.append((t, "widen directive"))
+                widen_at.add(t[1])
+        elif tok[1] == "location":
+            name = ts.name()
+            if any(l.name == name[1] for l in locations):
+                raise ParseError(f"duplicate location {name[1]!r}", name[2], name[3])
+            fields = _sections(ts, n, {"invariant": index, "rate": rate_index, "init": index})
+            if "rate" not in fields:
+                raise ParseError(f"location {name[1]!r} has no rate section", name[2], name[3])
+            universe = Polyhedron.universe(n, Topology.NNC)
+            locations.append(Location(
+                name[1],
+                region(fields.get("invariant"), universe),
+                region(fields["rate"], universe),
+                region(fields.get("init"), Polyhedron.empty(n, Topology.NNC)),
+            ))
+        else:
+            src = ts.name()
+            ts.take("->")
+            dst = ts.name()
+            references += [(src, "transition"), (dst, "transition")]
+            label = None
+            if ts.at("sync"):
+                ts.take()
+                label = ts.name()[1]
+                labels.add(label)
+            fields = _sections(ts, 2 * n, {"guard": index, "update": rel_index})
+            cs = fields.get("guard", []) + fields.get("update", [])
+            primed_seen = {
+                d - n for c in fields.get("update", []) for d in range(n, 2 * n) if c.coeffs[d] != 0
+            }
+            for i in range(n):
+                if i not in primed_seen:  # omitted primed variables keep their value
+                    coeffs = [0] * (2 * n)
+                    coeffs[i] = 1
+                    coeffs[n + i] = -1
+                    cs.append(canonicalize_constraint(coeffs, "=", 0))
+            rel = Polyhedron.from_constraints(2 * n, Topology.NNC, cs)
+            transitions.append(Transition(src[1], label, rel, dst[1]))
+    if not locations:
+        raise ParseError("automaton has no locations", *ts.end)
+    loc_names = {l.name for l in locations}
+    for tok, where in references:
+        if tok[1] not in loc_names:
+            raise ParseError(f"unknown location {tok[1]!r} in {where}", tok[2], tok[3])
     return HybridAutomaton(
-        variables, tuple(locations), frozenset(labels), tuple(transitions), frozenset(widen_at)
+        tuple(variables), tuple(locations), frozenset(labels), tuple(transitions),
+        frozenset(widen_at),
     )
 
 
-def _split_fields(inner: str, allowed: set[str]) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for chunk in inner.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+def _sections(
+    ts: Tokens, dim: int, allowed: Mapping[str, Mapping[str, int]]
+) -> dict[str, list[Constraint]]:
+    """`'{' section* '}'`, each section's constraints over `allowed[key]`."""
+    ts.take("{")
+    fields: dict[str, list[Constraint]] = {}
+    while not ts.at("}"):
+        if ts.at(";"):
+            ts.take()
             continue
-        if ":" not in chunk:
-            raise ParseError(f"expected 'field: constraints' in {chunk!r}")
-        key, _, rest = chunk.partition(":")
-        key = key.strip()
-        if key not in allowed:
-            raise ParseError(f"unknown section {key!r}")
-        if key in fields:
-            raise ParseError(f"duplicate section {key!r}")
-        fields[key] = rest
+        key = ts.name()
+        if key[1] not in allowed:
+            raise ParseError(f"unknown section {key[1]!r}", key[2], key[3])
+        if key[1] in fields:
+            raise ParseError(f"duplicate section {key[1]!r}", key[2], key[3])
+        ts.take(":")
+        fields[key[1]] = constraint_list(ts, allowed[key[1]], dim, end=(";", "}"))
+        if not ts.at("}"):
+            ts.take(";")
+    ts.take("}")
     return fields
 
 

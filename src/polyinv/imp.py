@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-from .parse import ParseError
+from .parse import ParseError, Token, Tokens
 
 
 # ---------------------------------------------------------------------------
@@ -140,140 +140,65 @@ def _walk_statements(s: Stmt) -> Iterator[Stmt]:
 _KEYWORDS = {"skip", "if", "then", "else", "while", "do", "true", "false", "vars"}
 
 
-def _lex(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(("kw" if word in _KEYWORDS else "name", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith(":=", i):
-            tokens.append(("op", ":=", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*<=;{}(),":
-            tokens.append(("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
+class _Parser(Tokens):
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.tokens = [("kw", *t[1:]) if t[1] in _KEYWORDS else t for t in self.tokens]
+        self.declared: list[str] | None = None  # the `vars` header, if any
 
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.pid = 0
-
-    def _next_pid(self) -> int:
-        # placeholder; real pre-order pids are assigned after parsing
-        self.pid += 1
-        return self.pid - 1
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expect: str | None = None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input" + (f", expected {expect!r}" if expect else ""))
-        if expect is not None and tok[1] != expect:
-            raise ParseError(f"expected {expect!r}, got {tok[1]!r}", tok[2], tok[3])
-        self.pos += 1
+    def variable(self) -> Token:
+        tok = self.name()
+        if self.declared is not None and tok[1] not in self.declared:
+            raise ParseError(f"undeclared variable {tok[1]!r}", tok[2], tok[3])
         return tok
 
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == text
-
     # expressions -----------------------------------------------------------
+    # Nodes are built with pid 0; `_renumber` assigns the pre-order pids.
 
     def atom(self) -> Aexp:
         tok = self.peek()
         if tok is None:
-            raise ParseError("expected an expression")
+            self.error("expected an expression")
         kind, text, line, col = tok
         if kind == "int":
             self.take()
-            return IntLit(self._next_pid(), line, col, int(text))
+            return IntLit(0, line, col, int(text))
         if text == "-":
             self.take()
-            inner = self.atom()
-            zero = IntLit(self._next_pid(), line, col, 0)
-            return BinOp(self._next_pid(), line, col, "-", zero, inner)
+            return BinOp(0, line, col, "-", IntLit(0, line, col, 0), self.atom())
         if text == "(":
             self.take()
             e = self.aexp()
             self.take(")")
             return e
         if kind == "name":
-            self.take()
-            return Var(self._next_pid(), line, col, text)
-        raise ParseError(f"expected an expression, got {text!r}", line, col)
+            return Var(0, line, col, self.variable()[1])
+        self.error("expected an expression")
 
     def mul(self) -> Aexp:
         e = self.atom()
         while self.at("*"):
             _, _, line, col = self.take()
-            rhs = self.atom()
-            e = BinOp(self._next_pid(), line, col, "*", e, rhs)
+            e = BinOp(0, line, col, "*", e, self.atom())
         return e
 
     def aexp(self) -> Aexp:
         e = self.mul()
         while self.at("+") or self.at("-"):
             _, op, line, col = self.take()
-            rhs = self.mul()
-            e = BinOp(self._next_pid(), line, col, op, e, rhs)
+            e = BinOp(0, line, col, op, e, self.mul())
         return e
 
     def bexp(self) -> Bexp:
         tok = self.peek()
         if tok is not None and tok[1] in ("true", "false"):
-            _, text, line, col = self.take()
-            return BoolLit(self._next_pid(), line, col, text == "true")
+            self.take()
+            return BoolLit(0, tok[2], tok[3], tok[1] == "true")
         left = self.aexp()
-        tok = self.peek()
-        if tok is None or tok[1] not in ("=", "<"):
-            raise ParseError(
-                "expected '=' or '<'",
-                tok[2] if tok else None,
-                tok[3] if tok else None,
-            )
+        if not (self.at("=") or self.at("<")):
+            self.error("expected '=' or '<'")
         _, op, line, col = self.take()
-        right = self.aexp()
-        return Compare(self._next_pid(), line, col, op, left, right)
+        return Compare(0, line, col, op, left, self.aexp())
 
     # statements --------------------------------------------------------------
 
@@ -288,44 +213,39 @@ class _Parser:
     def statement(self) -> Stmt:
         tok = self.peek()
         if tok is None:
-            raise ParseError("expected a statement")
+            self.error("expected a statement")
         kind, text, line, col = tok
         if text == "skip":
             self.take()
-            return Skip(self._next_pid(), line, col)
+            return Skip(0, line, col)
         if text == "if":
             self.take()
             cond = self.bexp()
             self.take("then")
             then = self.block_or_stmt()
             self.take("else")
-            orelse = self.block_or_stmt()
-            return If(self._next_pid(), line, col, cond, then, orelse)
+            return If(0, line, col, cond, then, self.block_or_stmt())
         if text == "while":
             self.take()
             cond = self.bexp()
             self.take("do")
-            body = self.block_or_stmt()
-            return While(self._next_pid(), line, col, cond, body)
+            return While(0, line, col, cond, self.block_or_stmt())
         if kind == "name":
-            self.take()
-            _, _, aline, acol = self.take(":=")
-            expr = self.aexp()
-            return Assign(self._next_pid(), line, col, text, expr)
-        raise ParseError(f"expected a statement, got {text!r}", line, col)
+            name = self.variable()[1]
+            self.take(":=")
+            return Assign(0, line, col, name, self.aexp())
+        self.error("expected a statement")
 
     def sequence(self, until: str | None = None) -> Stmt:
         stmts = [self.block_or_stmt()]
         while self.at(";"):
             self.take()
-            if until is not None and self.at(until):
+            if self.at(until) if until is not None else self.at_end():
                 break  # trailing separator
-            if self.peek() is None and until is None:
-                break
             stmts.append(self.block_or_stmt())
         out = stmts[-1]
         for s in reversed(stmts[:-1]):
-            out = Seq(self._next_pid(), s.line, s.col, s, out)
+            out = Seq(0, s.line, s.col, s, out)
         return out
 
 
@@ -389,37 +309,22 @@ def _collect_vars(s, acc: list[str]) -> None:
 
 
 def parse_program(text: str) -> Program:
-    tokens = _lex(text)
-    parser = _Parser(tokens)
-    declared: list[str] | None = None
+    parser = _Parser(text)
     if parser.at("vars"):
         parser.take()
-        declared = []
-        while True:
-            tok = parser.take()
-            if tok[0] != "name":
-                raise ParseError(f"expected a variable name, got {tok[1]!r}", tok[2], tok[3])
-            if tok[1] in declared:
+        parser.declared = []
+        for tok in parser.names():
+            if tok[1] in parser.declared:
                 raise ParseError(f"duplicate variable {tok[1]!r}", tok[2], tok[3])
-            declared.append(tok[1])
-            if parser.at(","):
-                parser.take()
-                continue
-            parser.take(";")
-            break
+            parser.declared.append(tok[1])
     body = parser.sequence()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+    if not parser.at_end():
+        parser.error("expected ';'")
     body = _renumber(body)
-    used: list[str] = []
-    _collect_vars(body, used)
+    declared = parser.declared
     if declared is None:
-        declared = used
-    else:
-        for name in used:
-            if name not in declared:
-                raise ParseError(f"undeclared variable {name!r}")
+        declared = []
+        _collect_vars(body, declared)
     return Program(tuple(declared), body)
 
 

@@ -1,19 +1,32 @@
-"""Parser for the shared linear-constraint text grammar.
+"""The shared lexer and constraint grammar.
+
+One lexical rule covers `.imp` programs, `.lha` automata and constraint
+text such as `--assume`:
+
+    INT  ::= [0-9]+
+    NAME ::= [A-Za-z_][A-Za-z0-9_]* ["'"]
+    OP   ::= ':=' | '->' | '<=' | '>=' | one of  < > = + - * ( ) , ; : { }
+
+Whitespace and `#` comments (to the end of the line) separate tokens;
+any other character is a ParseError at its line:col.  Every parser
+reads the tokens through a `Tokens` cursor, and `constraint_list` runs
+on that cursor in place, so a constraint error reports its position in
+the whole text:
 
     term       ::= INT | INT '*' VAR | VAR
     expr       ::= ['-'] term (('+'|'-') term)*
     rel        ::= '<' | '<=' | '=' | '>=' | '>'
     constraint ::= expr rel expr
+    list       ::= [constraint (',' constraint)*]
 
-Variables are identifiers (a trailing apostrophe is allowed so the
-hybrid-automata format can write primed variables); whitespace is
-insignificant.  Callers provide the identifier-to-dimension mapping.
+Callers provide the identifier-to-dimension mapping; a primed name
+such as `x'` is a variable only where the mapping has it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 from .linalg import Constraint, LinExpr, constraint_from_exprs
 
@@ -27,142 +40,169 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+Token = tuple[str, str, int, int]  # (kind, text, line, col); kind in int/name/op (.imp adds kw)
+
+# Within one line, whitespace and a comment are skipped as the prefix of
+# the next token.  After the longest such prefix a token, a bad character
+# or the end of the line follows, so the prefix never backtracks.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'?)"
-    r"|(?P<op><=|>=|[<>=+\-*(),;:])|(?P<bad>\S))"
+    r"(?:\s+|#.*)*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*'?)|(?P<int>[0-9]+)"
+    r"|(?P<op>:=|->|<=|>=|[<>=+\-*(),;:{}])|(?P<bad>\S)|\Z)"
 )
 
+_KINDS = (None, "name", "int", "op", "bad")  # by the group numbers of _TOKEN_RE
 
-def tokenize(text: str, *, line: int = 1, col: int = 1) -> list[tuple[str, str, int, int]]:
-    """Return (kind, text, line, col) tuples; kind in int/name/op."""
+_RELATIONS = ("<", "<=", "=", ">=", ">")
+
+
+def tokenize(text: str) -> list[Token]:
+    """Split `text` into tokens by the rule above."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        for ch in text[pos : m.start(m.lastgroup)]:
-            if ch == "\n":
-                line, col = line + 1, 1
-            else:
-                col += 1
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group('bad')!r}", line, col)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), line, col))
-        for ch in text[m.start(m.lastgroup) : m.end()]:
-            if ch == "\n":
-                line, col = line + 1, 1
-            else:
-                col += 1
-        pos = m.end()
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(chars):
+            group = m.lastindex
+            if group is None:  # only whitespace and a comment were left
+                break
+            kind = _KINDS[group]
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group(group)!r}", line, m.start(group) + 1)
+            tokens.append((kind, m.group(group), line, m.start(group) + 1))
     return tokens
 
 
-class _ExprParser:
-    def __init__(self, tokens, var_index: Mapping[str, int], dim: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.vars = var_index
-        self.dim = dim
+class Tokens:
+    """A cursor over the tokens of one text; its errors carry line:col."""
 
-    def peek(self):
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
+        self.pos = 0
+        self.end = (text.count("\n") + 1, len(text) - text.rfind("\n"))
+
+    def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self):
+    def at(self, text: str) -> bool:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def error(self, message: str):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(message)
-        raise ParseError(f"{message} (got {tok[1]!r})", tok[2], tok[3])
-
-    def variable(self, name: str, line: int, col: int) -> LinExpr:
-        if name not in self.vars:
-            raise ParseError(f"unknown variable {name!r}", line, col)
-        return LinExpr.variable(self.vars[name], self.dim)
-
-    def term(self) -> LinExpr:
-        tok = self.peek()
-        if tok is None:
-            self.error("expected a term")
-        kind, text, line, col = tok
-        if kind == "int":
-            self.take()
-            nxt = self.peek()
-            if nxt is not None and nxt[1] == "*":
-                self.take()
-                name_tok = self.take()
-                if name_tok[0] != "name":
-                    raise ParseError("expected a variable after '*'", name_tok[2], name_tok[3])
-                return self.variable(name_tok[1], name_tok[2], name_tok[3]).scale(int(text))
-            return LinExpr.constant(int(text), self.dim)
-        if kind == "name":
-            self.take()
-            return self.variable(text, line, col)
-        self.error("expected a term")
-
-    def expr(self) -> LinExpr:
-        tok = self.peek()
-        negate = False
-        if tok is not None and tok[1] == "-":
-            self.take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            tok = self.peek()
-            if tok is None or tok[1] not in ("+", "-"):
-                return acc
-            op = self.take()[1]
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-
-    def relation(self) -> str:
-        tok = self.take()
-        if tok[1] not in ("<", "<=", "=", ">=", ">"):
-            raise ParseError(f"expected a relation, got {tok[1]!r}", tok[2], tok[3])
-        return tok[1]
-
-    def constraint(self) -> Constraint:
-        lhs = self.expr()
-        rel = self.relation()
-        rhs = self.expr()
-        return constraint_from_exprs(lhs, rel, rhs)
+        return tok is not None and tok[1] == text
 
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
+    def error(self, message: str) -> NoReturn:
+        """Raise `message` at the next token, naming what was found there."""
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"{message}, got end of input", *self.end)
+        raise ParseError(f"{message}, got {tok[1]!r}", tok[2], tok[3])
+
+    def take(self, expect: str | None = None) -> Token:
+        """Take the next token; with `expect`, it must have that text."""
+        tok = self.peek()
+        if tok is None or expect is not None and tok[1] != expect:
+            after = f" after {self.tokens[self.pos - 1][1]!r}" if self.pos else ""
+            self.error(f"expected {repr(expect) if expect else 'more input'}{after}")
+        self.pos += 1
+        return tok
+
+    def name(self) -> Token:
+        """Take an unprimed name."""
+        tok = self.peek()
+        if tok is None or tok[0] != "name":
+            self.error("expected a name")
+        if tok[1].endswith("'"):
+            raise ParseError("unexpected character \"'\"", tok[2], tok[3] + len(tok[1]) - 1)
+        self.pos += 1
+        return tok
+
+    def names(self) -> list[Token]:
+        """Take `NAME (',' NAME)* ';'`."""
+        out = [self.name()]
+        while self.at(","):
+            self.take()
+            out.append(self.name())
+        self.take(";")
+        return out
+
+
+def _variable(ts: Tokens, var_index: Mapping[str, int], dim: int, what: str) -> LinExpr:
+    tok = ts.peek()
+    if tok is None or tok[0] != "name":
+        ts.error(f"expected {what}")
+    if tok[1] not in var_index:
+        raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
+    ts.take()
+    return LinExpr.variable(var_index[tok[1]], dim)
+
+
+def _term(ts: Tokens, var_index: Mapping[str, int], dim: int) -> LinExpr:
+    tok = ts.peek()
+    if tok is None or tok[0] != "int":
+        return _variable(ts, var_index, dim, "a term")
+    ts.take()
+    if not ts.at("*"):
+        return LinExpr.constant(int(tok[1]), dim)
+    ts.take()
+    return _variable(ts, var_index, dim, "a variable after '*'").scale(int(tok[1]))
+
+
+def _expr(ts: Tokens, var_index: Mapping[str, int], dim: int) -> LinExpr:
+    negate = ts.at("-")
+    if negate:
+        ts.take()
+    acc = _term(ts, var_index, dim)
+    if negate:
+        acc = -acc
+    while ts.at("+") or ts.at("-"):
+        op = ts.take()[1]
+        rhs = _term(ts, var_index, dim)
+        acc = acc + rhs if op == "+" else acc - rhs
+    return acc
+
+
+def _constraint(ts: Tokens, var_index: Mapping[str, int], dim: int) -> Constraint:
+    lhs = _expr(ts, var_index, dim)
+    tok = ts.peek()
+    if tok is None or tok[1] not in _RELATIONS:
+        ts.error("expected a relation")
+    ts.take()
+    return constraint_from_exprs(lhs, tok[1], _expr(ts, var_index, dim))
+
+
+def constraint_list(
+    ts: Tokens, var_index: Mapping[str, int], dim: int, end: tuple[str, ...] = ()
+) -> list[Constraint]:
+    """Parse `[constraint (',' constraint)*]` up to the end of input or a token in `end`.
+
+    The list is empty when the cursor already stands there; the caller
+    takes whatever follows the list.
+    """
+    tok = ts.peek()
+    if tok is None or tok[1] in end:
+        return []
+    out = [_constraint(ts, var_index, dim)]
+    while ts.at(","):
+        ts.take()
+        out.append(_constraint(ts, var_index, dim))
+    return out
+
 
 def parse_linexpr(text: str, var_index: Mapping[str, int], dim: int) -> LinExpr:
-    p = _ExprParser(tokenize(text), var_index, dim)
-    e = p.expr()
-    if not p.at_end():
-        p.error("trailing input after expression")
+    ts = Tokens(text)
+    e = _expr(ts, var_index, dim)
+    if not ts.at_end():
+        ts.error("trailing input after expression")
     return e
-
-
-def parse_constraint(text: str, var_index: Mapping[str, int], dim: int) -> Constraint:
-    p = _ExprParser(tokenize(text), var_index, dim)
-    c = p.constraint()
-    if not p.at_end():
-        p.error("trailing input after constraint")
-    return c
 
 
 def parse_constraints(text: str, var_index: Mapping[str, int], dim: int) -> list[Constraint]:
     """Parse a comma-separated constraint list; '{...}' braces optional."""
-    text = text.strip()
-    if text.startswith("{") and text.endswith("}"):
-        text = text[1:-1]
-    if not text.strip():
-        return []
-    out = []
-    for chunk in text.split(","):
-        out.append(parse_constraint(chunk, var_index, dim))
+    ts = Tokens(text)
+    braced = ts.at("{")
+    if braced:
+        ts.take()
+    out = constraint_list(ts, var_index, dim, end=("}",) if braced else ())
+    if braced:
+        ts.take("}")
+    if not ts.at_end():
+        ts.error("expected ','")
     return out

@@ -56,6 +56,24 @@ class TestAnalyze:
         code, _, err = run_cli("analyze", str(p))
         assert code == 1 and "error" in err
 
+    def test_non_ascii_digit_is_input_error(self, tmp_path):
+        p = tmp_path / "square.imp"
+        p.write_text("x := ²", encoding="utf-8")
+        code, out, err = run_cli("analyze", str(p))
+        assert (code, out, err) == (1, "", "error: 1:6: unexpected character '²'\n")
+
+    def test_undecodable_file_is_input_error(self, tmp_path):
+        p = tmp_path / "binary.imp"
+        p.write_bytes(b"x := 1\xff")
+        code, out, err = run_cli("analyze", str(p))
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_undeclared_variable_reports_its_first_use(self, tmp_path):
+        p = tmp_path / "undeclared.imp"
+        p.write_text("vars x;\nx := 1;\nwhile x < 3 do x := x + y;\ny := 0")
+        code, _, err = run_cli("analyze", str(p))
+        assert (code, err) == (1, "error: 3:25: undeclared variable 'y'\n")
+
     def test_undeclared_assume_variable(self, loop_path):
         code, _, err = run_cli("analyze", loop_path, "--assume", "x9>=0")
         assert code == 1 and "x9" in err

@@ -75,11 +75,37 @@ class TestParsing:
             (example_text("water.lha").replace("transition", "transtion"), (13, 1), "transtion"),
             ("vars x;\nlocation a { rate: dx = 1; init: x = 0; }\nbogus text here\n", (3, 1), "bogus"),
             ("vars x;\nlocation a { rate: dx = 1; }\n  vars y;\n", (3, 3), "repeated 'vars'"),
-            ("vars x; location a { rate: dx = 1; } widen a;", (1, 38), "widen"),
+            ("vars x; location a { rate: dx = 1; } widen a;", (1, 44), "widen"),
         ],
         ids=["misspelled-keyword", "stray-text", "repeated-vars", "malformed-widen"],
     )
     def test_unrecognized_text_rejected_with_position(self, text, where, what):
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        assert (err.value.line, err.value.col) == where
+        assert what in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, where, what",
+        [
+            ("vars x;\nlocation a { rate: dx = 0; }\ntransition a -> b { }", (3, 17), "unknown location 'b'"),
+            ("vars x;\nlocation a { rate: dx = 0; }\nwiden: a, c;", (3, 11), "unknown location 'c'"),
+            ("vars x;\nlocation a { rate: dx = 0; }\nlocation a { rate: dx = 1; }", (3, 10), "duplicate location"),
+            ("vars x, y, x;\nlocation a { rate: dx = 0; }", (1, 12), "duplicate variable"),
+            ("vars x;\nlocation a { rate: dx = 0; flow: dx = 1; }", (2, 28), "unknown section 'flow'"),
+            ("vars x;\nlocation a { rate: dx = 0; rate: dx = 1; }", (2, 28), "duplicate section 'rate'"),
+            ("vars x;\nlocation a { init x = 0; rate: dx = 0; }", (2, 19), "expected ':'"),
+            ("vars x;\nlocation a { invariant: x < 1; }", (2, 10), "no rate section"),
+            ("vars x;\nlocation a { rate: dx = 0; }\ntransition a -> a sync { }", (3, 24), "'{'"),
+            ("vars x;\nlocation a {\n  invariant: dq < 1; rate: dx = 0; }", (3, 14), "unknown variable 'dq'"),
+        ],
+        ids=[
+            "unknown-transition-target", "unknown-widen-location", "duplicate-location",
+            "duplicate-variable", "unknown-section", "duplicate-section", "missing-colon",
+            "missing-rate", "sync-without-label", "unknown-variable-line-3",
+        ],
+    )
+    def test_every_parse_error_has_a_file_position(self, text, where, what):
         with pytest.raises(ParseError) as err:
             parse_automaton(text)
         assert (err.value.line, err.value.col) == where
