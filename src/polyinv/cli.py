@@ -344,11 +344,17 @@ class _PolyScript:
             return self._poly(args[0]).is_universe()
         if func == "contains_point":
             p = self._poly(args[0])
-            point = [Fraction(a) for a in args[1:]]
-            return p.contains_point(point)
+            return p.contains_point([_number(a) for a in args[1:]])
         if func == "gens":
             return self._poly(args[0]).minimized_generators()
         raise ParseError(f"unknown operation {func!r}")
+
+
+def _number(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"not a rational number: {text.strip()!r}") from None
 
 
 def cmd_poly(args) -> int:

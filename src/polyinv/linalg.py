@@ -32,10 +32,8 @@ class DimensionError(ValueError):
 
 
 def vector_gcd(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
+    """The nonnegative gcd of the values; 0 when there are none or all are 0."""
+    return gcd(*values)
 
 
 def scale_to_integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:

@@ -31,7 +31,11 @@ the encoded set is the projection of the region with ``eps > 0``.
 Points of the embedding with positive slack project to points, points
 with zero slack project to closure points.  All public comparisons of
 NNC values are semantic (mutual inclusion of the encoded sets), never
-comparisons of the internal embedding.
+comparisons of the internal embedding.  Inclusion reads the encoded
+sets off the minimal descriptions of the embedding: every row with a
+nonzero variable part, its slack coefficient dropped, must hold on
+every generator of the other value, and a strict row (negative slack
+coefficient) must hold strictly on its points (positive slack).
 
 Everything here is exact integer/rational arithmetic; values are
 immutable after construction (the lazily converted descriptions are
@@ -43,7 +47,9 @@ from __future__ import annotations
 import os
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from operator import mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
@@ -55,7 +61,6 @@ from .linalg import (
     Rel,
     canonicalize_constraint,
     scale_to_integers,
-    vector_gcd,
 )
 
 Vec = tuple[int, ...]
@@ -84,7 +89,7 @@ class Topology(Enum):
 # ---------------------------------------------------------------------------
 
 def _dot(a: Vec, b: Vec) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 # POLYINV_MAX_BITS (fuzz harnesses only): abort instead of letting
@@ -94,24 +99,22 @@ _MAX_BITS = int(os.environ.get("POLYINV_MAX_BITS", "0"))
 
 def _norm(v: Sequence[int]) -> Vec | None:
     """gcd-normalize keeping orientation; None for the zero vector."""
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         return None
-    if g > 1:
-        v = tuple(x // g for x in v)
-    else:
-        v = tuple(v)
-    if _MAX_BITS and any(abs(x).bit_length() > _MAX_BITS for x in v):
+    v = tuple([x // g for x in v]) if g > 1 else tuple(v)
+    if _MAX_BITS and max(map(abs, v)).bit_length() > _MAX_BITS:
         raise ArithmeticError(f"coefficient exceeds POLYINV_MAX_BITS={_MAX_BITS}")
     return v
 
 
 def _combine(ta: int, a: Vec, tb: int, b: Vec) -> Vec | None:
-    return _norm(tuple(ta * x + tb * y for x, y in zip(a, b)))
+    return _norm([ta * x + tb * y for x, y in zip(a, b)])
 
 
-def _unit(i: int, dim: int) -> Vec:
-    return tuple(1 if j == i else 0 for j in range(dim))
+@cache
+def _units(dim: int) -> tuple[Vec, ...]:
+    return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,7 @@ def _dd_cone(dim: int, rows: Iterable[Row]) -> tuple[list[Vec], list[Vec]]:
     The returned rays are exactly the extreme rays modulo the returned
     lineality basis.
     """
-    lines: list[Vec] = [_unit(i, dim) for i in range(dim)]
+    lines: list[Vec] = list(_units(dim))
     rays: list[Vec] = []
     sat: list[int] = []  # per-ray bitmask of saturated inequality rows
     mask_all = 0  # bits of all inequality rows processed so far
@@ -337,7 +340,7 @@ class Polyhedron:
         return self._rep_dim + 1
 
     def _pi(self) -> Vec:
-        return _unit(0, self._hom_dim)
+        return _units(self._hom_dim)[0]
 
     def _eps_col(self) -> int:
         return self._hom_dim - 1
@@ -345,10 +348,8 @@ class Polyhedron:
     def _side_rows(self) -> list[Row]:
         if self._topology is Topology.CLOSED:
             return []
-        e = self._eps_col()
-        h = self._hom_dim
-        low = tuple(1 if i == e else 0 for i in range(h))  # eps >= 0
-        high = tuple(1 if i == 0 else (-1 if i == e else 0) for i in range(h))  # eps <= 1
+        units = _units(self._hom_dim)
+        low, high = units[-1], tuple(map(sub, units[0], units[-1]))  # eps >= 0, eps <= 1
         return [(low, False), (high, False)]
 
     # -- builders ----------------------------------------------------------
@@ -562,19 +563,18 @@ class Polyhedron:
             return False
         if self._topology is Topology.CLOSED:
             return self._rep_contains(other)
-        gens = other.minimized_generators()
-        for c in self.minimized_constraints():
-            for g in gens:
-                value = sum(a * x for a, x in zip(c.coeffs, g.coeffs)) - c.rhs * g.divisor
-                if g.kind is GenKind.RAY:
-                    ok = value == 0 if c.rel is Rel.EQ else value >= 0
-                elif c.rel is Rel.EQ:
-                    ok = value == 0
-                elif c.rel is Rel.GE:
-                    ok = value >= 0
-                else:  # strict: points must win strictly, closure points weakly
-                    ok = value > 0 if g.kind is GenKind.POINT else value >= 0
-                if not ok:
+        lines, rays = other._minimal_gens()
+        e = self._eps_col()
+        for vec, is_eq in self._minimal_rows():
+            if not any(vec[1:e]):
+                continue  # side rows and other pure-slack facets
+            a = vec[:e]  # the slack coefficient only says whether the row is strict
+            if any(_dot(a, l) for l in lines):
+                return False
+            strict = vec[e] < 0
+            for r in rays:
+                v = _dot(a, r)
+                if v < 0 or (v != 0 and is_eq) or (v == 0 and strict and r[0] > 0 and r[e] > 0):
                     return False
         return True
 

@@ -4,6 +4,9 @@ Everything here decides questions about linear systems *without* the
 double-description machinery: Fourier-Motzkin elimination over exact
 rationals (tracking strictness) answers feasibility, implication and
 inclusion queries, and a tiny vertex enumerator handles the 1-D cases.
+``semantic_contains`` is the one exception: it decides NNC inclusion on
+the kernel's emitted constraint and generator systems, the reference for
+the kernel's own test on the slack embedding.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from polyinv.linalg import Constraint, Rel
+from polyinv.linalg import Constraint, GenKind, Rel
 
 # An inequality in oracle form: (coeffs, rhs, strict) meaning <a,x> >= rhs
 # (or > rhs when strict).  Equalities are split before use.
@@ -93,6 +96,30 @@ def fm_includes(cs_outer, cs_inner, dim: int) -> bool:
     if not fm_feasible(constraints_to_ineqs(cs_inner), dim):
         return True
     return all(fm_implies(cs_inner, c, dim) for c in cs_outer)
+
+
+def semantic_contains(p, q) -> bool:
+    """NNC inclusion q <= p decided on the emitted systems: every constraint
+    of p holds on every generator of q, strictly on its points."""
+    if q.is_empty():
+        return True
+    if p.is_empty():
+        return False
+    gens = q.minimized_generators()
+    for c in p.minimized_constraints():
+        for g in gens:
+            value = sum(a * x for a, x in zip(c.coeffs, g.coeffs)) - c.rhs * g.divisor
+            if g.kind is GenKind.RAY:
+                ok = value == 0 if c.rel is Rel.EQ else value >= 0
+            elif c.rel is Rel.EQ:
+                ok = value == 0
+            elif c.rel is Rel.GE:
+                ok = value >= 0
+            else:  # strict: points must win strictly, closure points weakly
+                ok = value > 0 if g.kind is GenKind.POINT else value >= 0
+            if not ok:
+                return False
+    return True
 
 
 def fm_empty(cs, dim: int) -> bool:

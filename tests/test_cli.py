@@ -261,3 +261,10 @@ class TestPolyCalculator:
     def test_script_error_exit(self, tmp_path):
         code, _, err = self.run_script(tmp_path, "print nonsense(A);")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("coordinate", ["1/0", "abc"])
+    def test_bad_point_coordinate_is_an_input_error(self, tmp_path, coordinate):
+        script = f"vars x;\na = {{x>=0}};\nprint contains_point(a, {coordinate});\n"
+        code, out, err = self.run_script(tmp_path, script)
+        assert (code, out) == (1, "")
+        assert err == f"error: not a rational number: '{coordinate}'\n"

@@ -1,6 +1,10 @@
 """Kernel unit tests: conversion, lattice operations, images, surgery."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,7 @@ from polyinv.polyhedron import (
     TopologyError,
 )
 
-from .oracles import enumerate_vertices_1d
+from .oracles import enumerate_vertices_1d, semantic_contains
 
 X01 = {"x0": 0, "x1": 1}
 WX = {"w": 0, "x": 1}
@@ -150,6 +154,43 @@ class TestLazyConversion:
         assert ("dd", 5) in conversions  # the 2n-dimensional meet is converted ...
         assert ("dual", 5) not in conversions  # ... and never dual-converted
         assert image.equals(poly("w>=2, w<=11, x=0", index=WX))
+
+    def test_nnc_contains_emits_nothing(self, conversions, monkeypatch):
+        def fresh_pairs():  # new values each time, so both runs start unconverted
+            def nnc(text):
+                return poly(text, topology=Topology.NNC)
+
+            a, b = nnc("x0>0, x1>=0, x0+x1<3"), nnc("x0>=1, x0<=2, x1=0")
+            hull = a.poly_hull(nnc("x0=0, x1=0"))
+            return [(a, b), (b, a), (hull, a), (a, hull), (hull, b)]
+
+        def run(contains):
+            out = []
+            for p, q in fresh_pairs():
+                conversions.clear()
+                out.append((contains(p, q), list(conversions)))
+            return out
+
+        # the emission-based test reads the same descriptions in the same order
+        expected = run(semantic_contains)
+        emitted = []
+        canonicalize, point = polyhedron.canonicalize_constraint, Generator.point
+
+        def counting_canonicalize(*args, **kwargs):
+            emitted.append("constraint")
+            return canonicalize(*args, **kwargs)
+
+        def counting_point(*args, **kwargs):
+            emitted.append("generator")
+            return point(*args, **kwargs)
+
+        monkeypatch.setattr(polyhedron, "canonicalize_constraint", counting_canonicalize)
+        monkeypatch.setattr(Generator, "point", staticmethod(counting_point))
+        got = run(Polyhedron.contains)
+        assert got == expected
+        assert [answer for answer, _ in got] == [True, False, True, False, True]
+        assert ("dual", 4) in got[0][1]  # the conversions are counted at all
+        assert emitted == []
 
 
 class TestPredicates:
@@ -373,3 +414,26 @@ class TestDimBounds:
     def test_bounds_of_point(self):
         p = poly("x0=1, x1=1")
         assert p.dim_bounds(0) == (1, 1)
+
+
+def test_coefficient_bit_limit_fails_loudly():
+    # POLYINV_MAX_BITS is read when the kernel is imported, so it runs in a child
+    script = """
+from polyinv.parse import parse_constraints
+from polyinv.polyhedron import Polyhedron, Topology
+for bound in (255, 256):  # the vertex x = bound needs 8 and 9 bits
+    cs = parse_constraints(f"x<={bound}", {"x": 0}, 1)
+    p = Polyhedron.from_constraints(1, Topology.CLOSED, cs)
+    try:
+        print(bound, [g.coeffs for g in p.minimized_generators()])
+    except ArithmeticError as e:
+        print(bound, e)
+"""
+    src = str(Path(polyhedron.__file__).resolve().parents[1])
+    env = {**os.environ, "POLYINV_MAX_BITS": "8", "PYTHONPATH": src}
+    child = [sys.executable, "-c", script]
+    out = subprocess.run(child, env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.splitlines() == [
+        "255 [(255,), (-1,)]",
+        "256 coefficient exceeds POLYINV_MAX_BITS=8",
+    ]
