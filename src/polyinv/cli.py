@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import imp
 from .analyzer import AbstractStore, AnalysisError, AnalysisOptions, analyze
@@ -185,8 +186,8 @@ class _PolyScript:
             if name not in self.names:
                 self.names.append(name)
 
-    def run(self, script: str) -> list[str]:
-        out = []
+    def run(self, script: str) -> Iterator[str]:
+        """Run the script, yielding each printed line as its statement runs."""
         body = "\n".join(line.split("#", 1)[0] for line in script.splitlines())
         statements = [s.strip() for s in body.split(";") if s.strip()]
         # first pass: collect variable names from literals in order
@@ -206,8 +207,7 @@ class _PolyScript:
             if stmt.startswith("vars "):
                 continue
             if stmt.startswith("print "):
-                value = self.expr(stmt[6:].strip())
-                out.append(self.show(value))
+                yield self.show(self.expr(stmt[6:].strip()))
                 continue
             m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", stmt, re.S)
             if m is None:
@@ -216,7 +216,6 @@ class _PolyScript:
             if not isinstance(value, Polyhedron):
                 raise ParseError("only polyhedra can be named")
             self.env[m.group(1)] = value
-        return out
 
     def show(self, value) -> str:
         if isinstance(value, bool):

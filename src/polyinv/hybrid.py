@@ -14,11 +14,17 @@ Reachable regions per location solve the fixpoint equations
 
 where the closure/elapse combination on the source region is the
 correction that makes strict constraints interact properly with
-transition guards.  Iteration sweeps the locations in file order using
-the freshest values (so one sweep propagates along a whole path), and
-widening is applied at the configured cut locations; convergence is
-semantic per-location equality against the previous sweep, and every
-converged result is re-checked to be a post-fixpoint.
+transition guards.  A transition whose update fixes every primed
+variable by equalities (resets, swaps, rational maps such as
+`2*x' = x + 1`, omitted variables) is compiled when it is built into an
+n-dimensional guard and a map x' = (A x + b) / den, and psi_P meets the
+guard and maps generators in n dimensions; any other relation, such as
+`x' >= 0`, keeps the general image through 2n dimensions.  Iteration
+sweeps the locations in file order using the freshest values (so one
+sweep propagates along a whole path), and widening is applied at the
+configured cut locations; convergence is semantic per-location equality
+against the previous sweep, and every converged result is re-checked to
+be a post-fixpoint.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Mapping
 
 from .linalg import Constraint, canonicalize_constraint
 from .parse import ParseError, Tokens, constraint_list
-from .polyhedron import Polyhedron, Topology
+from .polyhedron import AffineMap, Polyhedron, Topology
 # re-exported: perfbench/test_perfbench.py reads hybrid.standard_widening
 from .polyhedron import standard_widening  # noqa: F401
 from .powerset import PolySet, check_domain_options, lift
@@ -50,6 +56,17 @@ class Transition:
     label: str | None
     relation: Polyhedron  # NNC, dimension 2n: (x, x')
     target: str
+    # the relation as guard plus affine map; None when the update is not a function
+    compiled: AffineMap | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", self.relation.as_affine_map())
+
+    def image(self, p: Polyhedron) -> Polyhedron:
+        """psi_relation(p), in n dimensions whenever the relation compiled."""
+        if self.compiled is None:
+            return p.relation_image(self.relation)
+        return p.affine_map(self.compiled)
 
 
 @dataclass(frozen=True)
@@ -60,15 +77,26 @@ class HybridAutomaton:
     transitions: tuple[Transition, ...]
     widen_at: frozenset[str]
 
+    def __post_init__(self):
+        by_name: dict[str, Location] = {}
+        incoming: dict[str, list[int]] = {}
+        for loc in self.locations:
+            by_name.setdefault(loc.name, loc)
+        for i, t in enumerate(self.transitions):
+            incoming.setdefault(t.target, []).append(i)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_incoming", {k: tuple(v) for k, v in incoming.items()})
+
     @property
     def dim(self) -> int:
         return len(self.variables)
 
     def location(self, name: str) -> Location:
-        for loc in self.locations:
-            if loc.name == name:
-                return loc
-        raise KeyError(name)
+        return self._by_name[name]
+
+    def incoming(self, name: str) -> tuple[int, ...]:
+        """Indices in ``transitions`` of the transitions into location ``name``."""
+        return self._incoming.get(name, ())
 
     def validate(self) -> list[str]:
         """Consistency warnings (never fatal): Init outside Inv, W not a cutset."""
@@ -443,17 +471,14 @@ def location_update(
     loc = h.location(name)
     inc = lift(loc.init, domain)
     entries = {} if entries is None else entries
-    for i, t in enumerate(h.transitions):
-        if t.target != name:
-            continue
+    for i in h.incoming(name):
+        t = h.transitions[i]
         source = current[t.source]
         memo = entries.get(i)
         if memo is None or memo[0] is not source:
             act = h.location(t.source).rate
             flowed = source.lift_image(lambda p: _source_flow(p, act))
-            entry = flowed.lift_image(
-                lambda p: p.relation_image(t.relation).intersection(loc.invariant)
-            )
+            entry = flowed.lift_image(lambda p: t.image(p).intersection(loc.invariant))
             memo = entries[i] = (source, entry)
         inc = inc.join(memo[1])
     return inc.lift_image(lambda p: p.time_elapse(loc.rate).intersection(loc.invariant))

@@ -48,9 +48,9 @@ import os
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import (
     Constraint,
@@ -291,6 +291,17 @@ def _reduce_mod(v: Vec, basis: Sequence[Vec], cols: range) -> Vec:
 # ---------------------------------------------------------------------------
 # Polyhedron
 # ---------------------------------------------------------------------------
+
+class AffineMap(NamedTuple):
+    """``x' = (A x + b) / den`` on the points of ``guard``.
+
+    Row ``j`` of ``matrix`` is ``(b_j, A_j1..A_jn)``; ``den`` is positive.
+    """
+
+    guard: Polyhedron
+    matrix: tuple[Vec, ...]
+    den: int
+
 
 class Polyhedron:
     """An immutable convex polyhedron (closed or NNC) of fixed dimension."""
@@ -624,47 +635,46 @@ class Polyhedron:
         return out
 
     def minimized_generators(self) -> tuple[Generator, ...]:
-        if self._nnc_gens is not None:
-            return self._nnc_gens
-        if self.is_empty():
-            self._nnc_gens = ()
-            return ()
+        if self._nnc_gens is None:
+            self._nnc_gens = () if self.is_empty() else tuple(self._emitted_gens())
+        return self._nnc_gens
+
+    def _emitted_gens(self) -> list[Generator]:
+        """The minimal generators, lines split into opposite rays, sorted.
+
+        Built in integers: a point's vector is divided by the gcd of its
+        divisor and coordinates, which gives the lowest-terms form
+        ``Generator.point`` would, and a closure point at a point's place
+        is dropped.
+        """
         lines, rays = self._minimal_gens()
         n = self._dim
         var_cols = range(1, self._hom_dim)
         basis = _echelonize(lines, var_cols)
-        out: list[Generator] = []
+        out: set[Generator] = set()
         for l in basis:
             direction = l[1 : 1 + n]
             if any(direction):
-                out.append(Generator.ray(direction))
-                out.append(Generator.ray([-x for x in direction]))
-        point_coords: set[tuple[Fraction, ...]] = set()
-        reduced = [_reduce_mod(r, basis, var_cols) for r in rays]
-        emitted: list[tuple[Vec, Generator]] = []
-        for r in reduced:
-            xi0 = r[0]
-            coeffs = r[1 : 1 + n]
+                out.add(Generator(GenKind.RAY, direction, 0))
+                out.add(Generator(GenKind.RAY, tuple(-x for x in direction), 0))
+        nnc = self._topology is Topology.NNC
+        e = self._eps_col()
+        for r in rays:
+            r = _reduce_mod(r, basis, var_cols)
+            xi0, coeffs = r[0], r[1 : 1 + n]
             if xi0 == 0:
                 if any(coeffs):
-                    emitted.append((r, Generator.ray(coeffs)))
+                    out.add(Generator(GenKind.RAY, coeffs, 0))
                 continue
-            if self._topology is Topology.CLOSED:
-                g = Generator.point(coeffs, xi0)
-            else:
-                eps = r[self._eps_col()]
-                kind = GenKind.POINT if eps > 0 else GenKind.CLOSURE_POINT
-                g = Generator.point(coeffs, xi0, kind=kind)
-            if g.kind is GenKind.POINT:
-                point_coords.add(g.coordinates())
-            emitted.append((r, g))
-        for _, g in emitted:
-            if g.kind is GenKind.CLOSURE_POINT and g.coordinates() in point_coords:
-                continue
-            out.append(g)
-        result = tuple(sorted(set(out), key=Generator.sort_key))
-        self._nnc_gens = result
-        return result
+            g = gcd(xi0, *coeffs)
+            kind = GenKind.CLOSURE_POINT if nnc and r[e] == 0 else GenKind.POINT
+            out.add(Generator(kind, tuple(c // g for c in coeffs), xi0 // g))
+        points = {(g.coeffs, g.divisor) for g in out if g.kind is GenKind.POINT}
+        kept = (
+            g for g in out
+            if g.kind is not GenKind.CLOSURE_POINT or (g.coeffs, g.divisor) not in points
+        )
+        return sorted(kept, key=Generator.sort_key)
 
     def constraints_pretty(self, names: Sequence[str]) -> str:
         from .linalg import format_constraints
@@ -816,6 +826,88 @@ class Polyhedron:
         meet = embedded.intersection(rel)
         return meet.remove_dimensions(range(n))
 
+    def as_affine_map(self) -> AffineMap | None:
+        """This relation over (x, x') as a guard on x plus ``x' = (A x + b) / den``.
+
+        Gauss-Jordan elimination of the equality rows over the primed
+        columns: when every primed column gets a pivot, the pivot rows
+        give the map, the other equalities and every inequality with its
+        primed variables substituted away give the guard.  Otherwise (an
+        update that is not a function, such as ``x' >= 0``) it is None.
+        """
+        if self._dim % 2:
+            return None
+        n = self._dim // 2
+        rows = self._rows_any()
+        tail = slice(2 * n + 1, None)  # the slack column of an NNC relation
+        eqs = [vec for vec, is_eq in rows if is_eq]
+        if any(x for vec in eqs for x in vec[tail]):
+            return None
+        primed = range(n + 1, 2 * n + 1)
+        pivots: dict[int, Vec] = {}  # primed column -> the row that solves it
+        guard: list[Row] = []
+        for v in eqs:
+            for col, p in pivots.items():
+                if v[col]:
+                    v = _combine(p[col], v, -v[col], p)
+                    if v is None:
+                        break
+            if v is None:
+                continue  # a combination of the equalities before it
+            col = next((c for c in primed if v[c]), None)
+            if col is None:
+                guard.append((v[: n + 1] + v[tail], True))
+                continue
+            if v[col] < 0:
+                v = tuple(-x for x in v)
+            for c, p in pivots.items():
+                if p[col]:
+                    pivots[c] = _combine(v[col], p, -p[col], v)
+            pivots[col] = v
+        if len(pivots) != n:
+            return None
+        # row j solves p_j x'_j + <c, x> + k = 0
+        solving = [pivots[c] for c in primed]
+        den = lcm(*(v[c] for c, v in zip(primed, solving)))
+        matrix = tuple(
+            tuple(-x * (den // v[c]) for x in v[: n + 1]) for c, v in zip(primed, solving)
+        )
+        side = self._side_rows()
+        for vec, is_eq in rows:
+            if is_eq or (vec, is_eq) in side:
+                continue  # the guard's builder adds its own side rows
+            head = [den * x for x in vec[: n + 1]]
+            for q, row in zip(vec[n + 1 : 2 * n + 1], matrix):
+                if q:
+                    head = [h + q * a for h, a in zip(head, row)]
+            v = _norm(head + [den * x for x in vec[tail]])
+            if v is not None:
+                guard.append((v, False))
+        return AffineMap(Polyhedron._from_rep_rows(n, self._topology, guard), matrix, den)
+
+    def affine_map(self, m: AffineMap) -> Polyhedron:
+        """The image of ``self`` under a compiled relation, in n dimensions.
+
+        Equals ``relation_image`` of the relation ``m`` was compiled from:
+        the meet with the guard is converted here instead of in 2n
+        dimensions, and its generators are mapped, the slack scaled with
+        ``xi0`` so that points stay points and closure points stay
+        closure points.
+        """
+        meet = self.intersection(m.guard)
+        if meet.is_empty():
+            return Polyhedron.empty(self._dim, self._topology)
+        cut = self._dim + 1
+
+        def image(v: Vec) -> Vec | None:
+            mapped = [_dot(row, v) for row in m.matrix]
+            return _norm([m.den * v[0], *mapped, *(m.den * x for x in v[cut:])])
+
+        lines, rays = meet._gens_any()
+        new_lines = [w for w in map(image, lines) if w is not None]
+        new_rays = [w for w in map(image, rays) if w is not None]
+        return Polyhedron._from_rep_gens(self._dim, self._topology, new_lines, new_rays)
+
     def time_elapse(self, rates: Polyhedron) -> Polyhedron:
         """``{v + t*w : v in self, w in rates, t >= 0}`` via generators."""
         self._check_compatible(rates)
@@ -838,13 +930,18 @@ class Polyhedron:
         target = Topology.CLOSED if as_closed else Topology.NNC
         if self.is_empty():
             return Polyhedron.empty(self._dim, target)
-        gens = []
-        for g in self.minimized_generators():
-            if g.kind is GenKind.CLOSURE_POINT:
-                gens.append(Generator(GenKind.POINT, g.coeffs, g.divisor))
+        # the encoding from_generators gives the emitted generators, closure
+        # points made points, in the emitted order that later conversions see
+        slack = () if as_closed else (0,)
+        rays: list[Vec] = []
+        for g in self._emitted_gens():
+            if g.kind is GenKind.RAY:
+                rays.append((0, *g.coeffs, *slack))
+            elif as_closed:
+                rays.append((g.divisor, *g.coeffs))
             else:
-                gens.append(g)
-        return Polyhedron.from_generators(self._dim, target, gens)
+                rays += [(g.divisor, *g.coeffs, g.divisor), (g.divisor, *g.coeffs, 0)]
+        return Polyhedron._from_rep_gens(self._dim, target, [], rays)
 
     # -- dimension surgery --------------------------------------------------------
 

@@ -268,3 +268,9 @@ class TestPolyCalculator:
         code, out, err = self.run_script(tmp_path, script)
         assert (code, out) == (1, "")
         assert err == f"error: not a rational number: '{coordinate}'\n"
+
+    def test_lines_before_a_failing_statement_are_printed(self, tmp_path):
+        script = "vars x;\na = {x>=0};\nprint contains_point(a, 1/2);\nprint nonsense(a);\n"
+        code, out, err = self.run_script(tmp_path, script)
+        assert (code, out) == (1, "true\n")
+        assert err.startswith("error: ")

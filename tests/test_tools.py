@@ -1,0 +1,73 @@
+"""The repository tools: the paired-run summary and the digest replay."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_run(out_dir, workload, seed, trace, metrics, src_lines=100, failed=0):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    record = {
+        "environment": {"python": "3.x", "nproc": 2, "src_lines": src_lines},
+        "workload": workload,
+        "seed": seed,
+        "seconds": 50,
+        "trace": trace,
+        "attempted": 14,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+    }
+    (out_dir / f"run-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+
+
+def test_bench_pairs_summarizes_each_gated_metric(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    walls = {1: (2.0, 1.0), 2: (2.2, 1.1), 3: (2.1, 2.5), 4: (1.9, 1.0)}
+    for seed, (before, after) in walls.items():
+        other = {"item_p50_s": 0.1, "peak_rss_mb": 26.0, "setup_s": 0.2}
+        write_run(parent, "reach-lha", seed, 0, {"wall_s": before, **other}, src_lines=100)
+        write_run(change, "reach-lha", seed, 0, {"wall_s": after, **other}, src_lines=90,
+                  failed=int(seed == 3))
+    write_run(parent, "reach-lha", 9, 0, {"wall_s": 5.0})  # no partner: ignored
+    write_run(parent, "reach-lha", 1, 1, {"polyhedron.relation_image.calls": 967})
+    write_run(change, "reach-lha", 1, 1, {"polyhedron.relation_image.calls": 0})
+
+    summary = tool("bench_pairs").summarize(parent, change)
+
+    assert summary["src_lines"] == {"parent": 100, "change": 90}
+    entry = summary["workloads"]["reach-lha"]
+    assert entry["seeds"] == [1, 2, 3, 4]
+    assert entry["failed"] == {"parent": 0, "change": 1, "attempted_per_run": 14}
+    wall = entry["metrics"]["wall_s"]
+    assert wall["pairs_won"] == 3 and not wall["claim_rule_met"]  # 3/4 < 9/10
+    assert wall["parent"]["median"] == 2.05 and wall["change"]["median"] == 1.05
+    assert wall["bound"] == 0.2
+    assert entry["metrics"]["setup_s"]["pairs_won"] == 0  # ties count for neither side
+    calls = entry["traced"]["1"]["polyhedron.relation_image.calls"]
+    assert calls == {"parent": 967, "change": 0, "delta": -967}
+
+
+def test_bench_pairs_claim_rule_needs_nine_tenths_and_a_gap_beyond_the_iqr(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        write_run(parent, "reach-lha", seed, 0, {"wall_s": 2.0 + seed / 100, "item_p50_s": 1.0,
+                                                 "peak_rss_mb": 1.0, "setup_s": 1.0})
+        write_run(change, "reach-lha", seed, 0, {"wall_s": 1.5 + seed / 100, "item_p50_s": 1.0,
+                                                 "peak_rss_mb": 1.0, "setup_s": 1.0})
+    summary = tool("bench_pairs").summarize(parent, change)
+    wall = summary["workloads"]["reach-lha"]["metrics"]["wall_s"]
+    assert wall["pairs_won"] == 10 and wall["claim_rule_met"]
+
+
+def test_check_digests_rejects_an_unknown_workload(capsys):
+    assert tool("check_digests").main(["reach-lah"]) == 2
+    assert "unknown workload 'reach-lah'" in capsys.readouterr().out
