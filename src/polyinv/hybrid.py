@@ -16,8 +16,8 @@ where the closure/elapse combination on the source region is the
 correction that makes strict constraints interact properly with
 transition guards.  A transition whose update fixes every primed
 variable by equalities (resets, swaps, rational maps such as
-`2*x' = x + 1`, omitted variables) is compiled when it is built into an
-n-dimensional guard and a map x' = (A x + b) / den, and psi_P meets the
+`2*x' = x + 1`, omitted variables) is compiled on its first image into
+an n-dimensional guard and a map x' = (A x + b) / den, and psi_P meets the
 guard and maps generators in n dimensions; any other relation, such as
 `x' >= 0`, keeps the general image through 2n dimensions.  Iteration
 sweeps the locations in file order using the freshest values (so one
@@ -30,6 +30,7 @@ be a post-fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .linalg import Constraint, canonicalize_constraint
@@ -56,11 +57,11 @@ class Transition:
     label: str | None
     relation: Polyhedron  # NNC, dimension 2n: (x, x')
     target: str
-    # the relation as guard plus affine map; None when the update is not a function
-    compiled: AffineMap | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "compiled", self.relation.as_affine_map())
+    @cached_property
+    def compiled(self) -> AffineMap | None:
+        """The relation as guard plus affine map; None when the update is not a function."""
+        return self.relation.as_affine_map()
 
     def image(self, p: Polyhedron) -> Polyhedron:
         """psi_relation(p), in n dimensions whenever the relation compiled."""

@@ -22,7 +22,8 @@ conversion output is minimal.  Conversion is lazy and runs at most
 once per description: a value built from rows converts them to its
 minimal generators and those back to its minimal rows; a value built
 from generators converts them to its minimal rows and those to its
-minimal generators.  A description nobody reads is never computed.
+minimal generators.  A description nobody reads is never computed, and
+operations that only rewrite rows never convert to test for emptiness.
 
 Not-necessarily-closed (NNC) polyhedra are embedded as closed polyhedra
 with one extra slack dimension ``eps``: a strict ``<a, x> > b`` becomes
@@ -692,7 +693,7 @@ class Polyhedron:
 
     def intersection(self, other: Polyhedron) -> Polyhedron:
         self._check_compatible(other)
-        if self.is_empty() or other.is_empty():
+        if self._empty or other._empty:
             return Polyhedron.empty(self._dim, self._topology)
         return Polyhedron._from_rep_rows(
             self._dim, self._topology, self._rows_any() + other._rows_any()
@@ -766,7 +767,7 @@ class Polyhedron:
         if not 0 <= k < self._dim:
             raise DimensionError(f"dimension {k} out of range")
         coeffs, const, mult = self._integerize_expr(expr)
-        if self.is_empty():
+        if self._empty:
             return self
         col = 1 + k
         rows = []
@@ -950,7 +951,7 @@ class Polyhedron:
             raise DimensionError("cannot add a negative number of dimensions")
         if m == 0:
             return self
-        if self.is_empty():
+        if self._empty:
             return Polyhedron.empty(self._dim + m, self._topology)
         rows = []
         pad = (0,) * m
@@ -991,7 +992,7 @@ class Polyhedron:
     def map_dimensions(self, perm: Sequence[int]) -> Polyhedron:
         if len(perm) != self._dim or sorted(perm) != list(range(self._dim)):
             raise DimensionError("map_dimensions needs a total permutation")
-        if self.is_empty():
+        if self._empty:
             return self
         cols = [0] * self._hom_dim
         for old, new in enumerate(perm):
@@ -1014,7 +1015,7 @@ class Polyhedron:
         if self._topology is not other._topology:
             raise TopologyError("concatenation needs matching topologies")
         m, n = self._dim, other._dim
-        if self.is_empty() or other.is_empty():
+        if self._empty or other._empty:
             return Polyhedron.empty(m + n, self._topology)
         rows: list[Row] = []
         if self._topology is Topology.CLOSED:
@@ -1075,15 +1076,16 @@ def _split_inequalities(rows: Iterable[Row]) -> list[Vec]:
 
 
 def standard_widening(older: Polyhedron, newer: Polyhedron) -> Polyhedron:
-    """The standard polyhedra widening ``older widen newer``.
+    """The standard (H79) polyhedra widening ``older widen newer``.
 
     Requires ``older`` to be included in ``newer`` (engines call it as
     ``x widen (x join f(x))``).  The result keeps the constraints of
-    ``older`` satisfied by every generator of ``newer`` (equalities
-    split into inequality pairs) together with the constraints of
-    ``newer``'s minimized system that can stand in for some constraint
-    of ``older`` without changing it; for NNC values the computation
-    runs on the slack embedding with the slack side constraints pinned.
+    ``older`` (equalities split) that hold on ``newer``, then each
+    constraint of ``newer`` that saturates the same generators of
+    ``older`` as some constraint of ``older`` (Bagnara, Hill, Ricci and
+    Zaffanella, 2005).  NNC values run on the slack embedding, its side
+    rows pinned; where ``older``'s embedding bounds the slack below 1,
+    this keeps rows that an exchange test on the embedding rejects.
     """
     older._check_compatible(newer)
     if not newer.contains(older):
@@ -1101,22 +1103,16 @@ def standard_widening(older: Polyhedron, newer: Polyhedron) -> Polyhedron:
 
     p_rows = exchangeable(older._minimal_rows())
     lines, rays = newer._gens_any()
-    s1 = []
-    for vec in p_rows:
-        if all(_dot(vec, l) == 0 for l in lines) and all(_dot(vec, r) >= 0 for r in rays):
-            s1.append(vec)
-    kept = set(s1)
-    q_rows = exchangeable(newer._minimal_rows())
-    p_set = list(dict.fromkeys(p_rows))
-    for beta in q_rows:
-        if beta in kept:
-            continue
-        for gamma in p_set:
-            trial_rows = [(v, False) for v in p_set if v != gamma] + [(beta, False)]
-            trial = Polyhedron._from_rep_rows(older.dim, older.topology, trial_rows)
-            if trial._rep_contains(older) and older._rep_contains(trial):
-                s1.append(beta)
-                kept.add(beta)
-                break
-    result_rows: list[Row] = [(v, False) for v in dict.fromkeys(s1)]
-    return Polyhedron._from_rep_rows(older.dim, older.topology, result_rows)
+    kept = [
+        v for v in p_rows
+        if all(_dot(v, l) == 0 for l in lines) and all(_dot(v, r) >= 0 for r in rays)
+    ]
+    gens = [g for part in older._gens_any() for g in part]
+
+    def saturation(vec: Vec) -> frozenset[int]:
+        return frozenset(i for i, g in enumerate(gens) if _dot(vec, g) == 0)
+
+    p_sats = set(map(saturation, p_rows))
+    kept += [v for v in exchangeable(newer._minimal_rows()) if saturation(v) in p_sats]
+    rows = [(v, False) for v in dict.fromkeys(kept)]
+    return Polyhedron._from_rep_rows(older.dim, older.topology, rows)

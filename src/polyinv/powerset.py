@@ -133,9 +133,7 @@ def _merge_to_cap(elements: list[Polyhedron], cap: int) -> list[Polyhedron]:
         for i in range(len(work)):
             for j in range(i + 1, len(work)):
                 hull = work[i].poly_hull(work[j])
-                exact = hull.contains(work[i]) and (
-                    work[i].contains(hull) or work[j].contains(hull)
-                )
+                exact = work[i].contains(hull) or work[j].contains(hull)
                 key = (not exact, len(hull.minimized_constraints()), i, j)
                 if best is None or key < best[0]:
                     best = (key, i, j, hull)

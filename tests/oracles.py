@@ -4,9 +4,12 @@ Everything here decides questions about linear systems *without* the
 double-description machinery: Fourier-Motzkin elimination over exact
 rationals (tracking strictness) answers feasibility, implication and
 inclusion queries, and a tiny vertex enumerator handles the 1-D cases.
-``semantic_contains`` is the one exception: it decides NNC inclusion on
-the kernel's emitted constraint and generator systems, the reference for
-the kernel's own test on the slack embedding.
+Two references are exceptions: ``semantic_contains`` decides NNC
+inclusion on the kernel's emitted constraint and generator systems, the
+reference for the kernel's own test on the slack embedding, and
+``trial_widening`` selects the standard widening's rows by building one
+trial polyhedron per candidate exchange, the reference for the kernel's
+selection by saturation sets.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import random
 from fractions import Fraction
 
 from polyinv.linalg import Constraint, GenKind, Rel
+from polyinv.polyhedron import Polyhedron, _dot, _split_inequalities
 
 # An inequality in oracle form: (coeffs, rhs, strict) meaning <a,x> >= rhs
 # (or > rhs when strict).  Equalities are split before use.
@@ -120,6 +124,42 @@ def semantic_contains(p, q) -> bool:
             if not ok:
                 return False
     return True
+
+
+def trial_widening(older, newer):
+    """The standard widening with its exchanges decided by trial polyhedra.
+
+    Keeps the rows of ``older`` (equalities split) that hold on every
+    generator of ``newer``, then each row beta of ``newer`` for which
+    some row gamma of ``older`` exists such that ``older`` with gamma
+    replaced by beta has the same slack embedding as ``older``.
+    """
+    assert newer.contains(older)
+    if older.is_empty() or older._rep_contains(newer):
+        return newer
+
+    def exchangeable(rows):
+        return [v for v in _split_inequalities(rows) if any(v[1 : 1 + older.dim])]
+
+    p_rows = exchangeable(older._minimal_rows())
+    lines, rays = newer._gens_any()
+    kept = [
+        v for v in p_rows
+        if all(_dot(v, l) == 0 for l in lines) and all(_dot(v, r) >= 0 for r in rays)
+    ]
+    p_set = list(dict.fromkeys(p_rows))
+    for beta in exchangeable(newer._minimal_rows()):
+        if beta in kept:
+            continue
+        for gamma in p_set:
+            trial_rows = [(v, False) for v in p_set if v != gamma] + [(beta, False)]
+            trial = Polyhedron._from_rep_rows(older.dim, older.topology, trial_rows)
+            if trial._rep_contains(older) and older._rep_contains(trial):
+                kept.append(beta)
+                break
+    return Polyhedron._from_rep_rows(
+        older.dim, older.topology, [(v, False) for v in dict.fromkeys(kept)]
+    )
 
 
 def fm_empty(cs, dim: int) -> bool:

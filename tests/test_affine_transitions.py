@@ -1,7 +1,7 @@
 """Differential test of compiled transitions against the general relation image.
 
 A transition whose update fixes every primed variable by equalities is
-compiled, when it is built, into an n-dimensional guard and an affine
+compiled, on first use, into an n-dimensional guard and an affine
 map; its image must equal ``relation_image`` of its relation, both
 semantically and in the emitted constraints.  Transitions are parsed
 from `.lha` text in dimensions 1..4, so the parser's compile path is the

@@ -165,6 +165,20 @@ class TestComposition:
         assert len(prod.transitions) == 8
         assert not any(t.label == "I2" for t in prod.transitions)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("task.lha", "interrupt.lha"),
+            ("fischer.lha", "interrupt.lha"),
+            ("water.lha", "task.lha"),
+        ],
+    )
+    def test_composition_converts_nothing(self, conversions, first, second):
+        a, b = (parse_automaton(example_text(name)) for name in (first, second))
+        conversions.clear()
+        parallel_compose(a, b)
+        assert conversions == []
+
     def test_variable_clash_rejected(self):
         a = parse_automaton("vars x;\nlocation p { rate: dx = 0; }")
         with pytest.raises(ValueError):

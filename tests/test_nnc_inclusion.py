@@ -27,13 +27,14 @@ def vectors(d):
 
 
 @st.composite
-def constraints(draw, d):
+def constraints(draw, d, topology=NNC):
     anchor = draw(vectors(d))  # every non-strict row holds there, so few systems are empty
+    rels = [">=", ">", ">", "="] if topology is NNC else [">=", "="]
     out = []
     # at most four rows: hulls and closures of larger 6-D systems convert slowly
     for _ in range(draw(st.integers(0, min(d + 1, 4)))):
         a = draw(vectors(d))
-        rel = draw(st.sampled_from([">=", ">", ">", "="]))
+        rel = draw(st.sampled_from(rels))
         rhs = sum(x * y for x, y in zip(a, anchor))
         c = canonicalize_constraint(a, rel, rhs if rel == "=" else rhs - draw(st.integers(0, 3)))
         out.append(c)
@@ -43,10 +44,13 @@ def constraints(draw, d):
 
 
 @st.composite
-def generators(draw, d):
+def generators(draw, d, topology=NNC):
+    kinds = ["point", "closure point", "ray", "line"]
+    if topology is not NNC:
+        kinds.remove("closure point")
     gens = [Generator.point(draw(vectors(d)), draw(st.integers(1, 3)))]
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["point", "closure point", "ray", "line"]))
+        kind = draw(st.sampled_from(kinds))
         v = draw(vectors(d))
         if kind == "point":
             gens.append(Generator.point(v, draw(st.integers(1, 3))))
