@@ -2,10 +2,13 @@
 
 Everything downstream (the polyhedra kernel, the analyzers, the parsers)
 speaks the vocabulary defined here.  Coefficients are unbounded Python
-integers; user-facing scalars are :class:`fractions.Fraction`.
-Constraints and generators are stored in a canonical cleared-denominator
-integer form, so syntactically equal values describe equal objects and
-output ordering is deterministic:
+integers; user-facing scalars are :class:`fractions.Fraction`, and they
+enter only at the user boundary (parsed numbers, :class:`LinExpr`, points
+and bounds).  Constraints and generators are stored in a canonical
+cleared-denominator integer form, so syntactically equal values describe
+equal objects and output ordering is deterministic.  Canonicalization is
+integer arithmetic: an ``int`` or ``Fraction`` input is read through its
+numerator and denominator, and no ``Fraction`` is built for it.
 
 * a constraint is ``<coeffs, x> rel rhs`` with ``rel`` one of ``=``,
   ``>=``, ``>``; the gcd of all numbers is 1 and equalities orient their
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -36,13 +39,15 @@ def vector_gcd(values: Iterable[int]) -> int:
     return gcd(*values)
 
 
-def scale_to_integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Return (integers, multiplier) with integers = values * multiplier."""
-    mult = 1
-    for v in values:
-        d = Fraction(v).denominator
-        mult = mult * d // gcd(mult, d)
-    return tuple(int(v * mult) for v in values), mult
+def scale_to_integers(values: Sequence) -> tuple[tuple[int, ...], int]:
+    """Return (integers, multiplier) with integers = values * multiplier.
+
+    Ints and Fractions are read through their numerator and denominator;
+    any other number is converted with ``Fraction`` once.
+    """
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    mult = lcm(1, *[v.denominator for v in values])
+    return tuple([v.numerator * (mult // v.denominator) for v in values]), mult
 
 
 @dataclass(frozen=True)
@@ -167,18 +172,17 @@ def canonicalize_constraint(coeffs: Sequence, rel, rhs=0) -> Constraint:
     `rel` accepts '<', '<=', '=', '>=', '>' (or a Rel member for the
     three stored relations); '<' and '<=' inputs are negated into GT/GE.
     """
-    values = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
+    ints, _ = scale_to_integers([*coeffs, rhs])
     if isinstance(rel, Rel):
         rel = rel.value
     if rel in ("<", "<="):
-        values = [-v for v in values]
+        ints = [-v for v in ints]
         rel = ">" if rel == "<" else ">="
     try:
         stored = Rel(rel)
     except ValueError:
         raise ValueError(f"unknown relation {rel!r}") from None
 
-    ints, _ = scale_to_integers(values)
     *acoeffs, arhs = ints
     g = vector_gcd(ints)
     if g > 1:
@@ -314,11 +318,6 @@ def format_constraint(c: Constraint, names: Sequence[str]) -> str:
     else:
         op = rel.value
     return f"{format_linexpr_terms(coeffs, names)}{op}{rhs}"
-
-
-def format_constraints(cs: Iterable[Constraint], names: Sequence[str]) -> str:
-    items = sorted(cs, key=Constraint.sort_key)
-    return "{" + ", ".join(format_constraint(c, names) for c in items) + "}"
 
 
 def format_generator(g: Generator) -> str:

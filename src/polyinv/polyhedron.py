@@ -37,6 +37,9 @@ sets off the minimal descriptions of the embedding: every row with a
 nonzero variable part, its slack coefficient dropped, must hold on
 every generator of the other value, and a strict row (negative slack
 coefficient) must hold strictly on its points (positive slack).
+Emission reads the integer minimal rows directly: each constraint is a
+row with its slack dropped, divided by the gcd of what is left, and no
+``Fraction`` is built between the conversion and the printed system.
 
 Everything here is exact integer/rational arithmetic; values are
 immutable after construction (the lazily converted descriptions are
@@ -61,6 +64,7 @@ from .linalg import (
     LinExpr,
     Rel,
     canonicalize_constraint,
+    format_constraint,
     scale_to_integers,
 )
 
@@ -83,6 +87,10 @@ class WideningPreconditionError(ValueError):
 class Topology(Enum):
     CLOSED = "closed"
     NNC = "nnc"
+
+
+# which of two emitted constraints with equal coefficients and rhs is kept
+_TWIN_ORDER = {Rel.EQ: 0, Rel.GT: 1, Rel.GE: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -602,35 +610,29 @@ class Polyhedron:
             out = (Constraint((0,) * self._dim, 1, Rel.GE),)
             self._nnc_cons = out
             return out
-        rows = self._minimal_rows()
         n = self._dim
+        nnc = self._topology is Topology.NNC
+        e = self._eps_col()
         seen: dict[tuple, Constraint] = {}
-        for vec, is_eq in rows:
+        for vec, is_eq in self._minimal_rows():
             coeffs = vec[1 : 1 + n]
+            if not any(coeffs):
+                continue  # side rows and other pure-slack facets
             rhs = -vec[0]
-            if self._topology is Topology.NNC:
-                eps = vec[self._eps_col()]
-                if not any(coeffs):
-                    continue  # side rows and other pure-slack facets
-                if is_eq:
-                    assert eps == 0
-                    rel = Rel.EQ
-                else:
-                    rel = Rel.GT if eps < 0 else Rel.GE
+            if is_eq:
+                assert not nnc or vec[e] == 0
+                rel = Rel.EQ
             else:
-                if not any(coeffs):
-                    continue
-                rel = Rel.EQ if is_eq else Rel.GE
-            c = canonicalize_constraint(coeffs, rel, rhs)
-            key = (c.coeffs, c.rhs)
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = c
-            elif prev.rel is not c.rel:
-                # eps-redundant twin: the strict (or equality) form wins
-                order = {Rel.EQ: 0, Rel.GT: 1, Rel.GE: 2}
-                if order[c.rel] < order[prev.rel]:
-                    seen[key] = c
+                rel = Rel.GT if nnc and vec[e] < 0 else Rel.GE
+            g = gcd(rhs, *coeffs)  # can exceed 1 once the slack is dropped
+            if g > 1:
+                coeffs, rhs = tuple([x // g for x in coeffs]), rhs // g
+            if is_eq and next(x for x in coeffs if x) < 0:
+                coeffs, rhs = tuple([-x for x in coeffs]), -rhs
+            prev = seen.get((coeffs, rhs))
+            # eps-redundant twin: the strict (or equality) form wins
+            if prev is None or _TWIN_ORDER[rel] < _TWIN_ORDER[prev.rel]:
+                seen[coeffs, rhs] = Constraint(coeffs, rhs, rel)
         out = tuple(sorted(seen.values(), key=Constraint.sort_key))
         self._nnc_cons = out
         return out
@@ -678,9 +680,8 @@ class Polyhedron:
         return sorted(kept, key=Generator.sort_key)
 
     def constraints_pretty(self, names: Sequence[str]) -> str:
-        from .linalg import format_constraints
-
-        return format_constraints(self.minimized_constraints(), names)
+        cs = self.minimized_constraints()  # already in Constraint.sort_key order
+        return "{" + ", ".join([format_constraint(c, names) for c in cs]) + "}"
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self._dim)]

@@ -9,16 +9,21 @@ inclusion on the kernel's emitted constraint and generator systems, the
 reference for the kernel's own test on the slack embedding, and
 ``trial_widening`` selects the standard widening's rows by building one
 trial polyhedron per candidate exchange, the reference for the kernel's
-selection by saturation sets.
+selection by saturation sets.  ``fraction_constraints`` emits a
+polyhedron's constraints by rebuilding every minimal row through
+``Fraction`` canonicalization (``fraction_canonicalize_constraint`` and
+``fraction_scale_to_integers``), the reference for the kernel's integer
+emission and the linalg helpers.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from polyinv.linalg import Constraint, GenKind, Rel
-from polyinv.polyhedron import Polyhedron, _dot, _split_inequalities
+from polyinv.polyhedron import Polyhedron, Topology, _dot, _split_inequalities
 
 # An inequality in oracle form: (coeffs, rhs, strict) meaning <a,x> >= rhs
 # (or > rhs when strict).  Equalities are split before use.
@@ -160,6 +165,67 @@ def trial_widening(older, newer):
     return Polyhedron._from_rep_rows(
         older.dim, older.topology, [(v, False) for v in dict.fromkeys(kept)]
     )
+
+
+def fraction_scale_to_integers(values):
+    """(integers, multiplier) with integers = values * multiplier, in Fractions."""
+    mult = 1
+    for v in values:
+        d = Fraction(v).denominator
+        mult = mult * d // gcd(mult, d)
+    return tuple(int(v * mult) for v in values), mult
+
+
+def fraction_canonicalize_constraint(coeffs, rel, rhs=0) -> Constraint:
+    """The canonical ``<coeffs, x> rel rhs``, every number made a Fraction."""
+    values = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
+    if isinstance(rel, Rel):
+        rel = rel.value
+    if rel in ("<", "<="):
+        values = [-v for v in values]
+        rel = ">" if rel == "<" else ">="
+    stored = Rel(rel)
+    ints, _ = fraction_scale_to_integers(values)
+    *acoeffs, arhs = ints
+    g = gcd(*ints)
+    if g > 1:
+        acoeffs = [c // g for c in acoeffs]
+        arhs //= g
+    if all(c == 0 for c in acoeffs):
+        arhs = 0 if arhs == 0 else (1 if arhs > 0 else -1)
+        return Constraint(tuple(acoeffs), arhs, stored)
+    if stored is Rel.EQ:
+        first = next(c for c in acoeffs if c != 0)
+        if first < 0:
+            acoeffs = [-c for c in acoeffs]
+            arhs = -arhs
+    return Constraint(tuple(acoeffs), arhs, stored)
+
+
+def fraction_constraints(p) -> tuple[Constraint, ...]:
+    """The minimized constraints of ``p``, each minimal row canonicalized
+    through Fractions; eps-redundant twins keep the equality, then the
+    strict form."""
+    if p.is_empty():
+        return (Constraint((0,) * p.dim, 1, Rel.GE),)
+    n = p.dim
+    order = {Rel.EQ: 0, Rel.GT: 1, Rel.GE: 2}
+    seen: dict[tuple, Constraint] = {}
+    for vec, is_eq in p._minimal_rows():
+        coeffs = vec[1 : 1 + n]
+        if not any(coeffs):
+            continue
+        if is_eq:
+            rel = Rel.EQ
+        elif p.topology is Topology.NNC and vec[p._eps_col()] < 0:
+            rel = Rel.GT
+        else:
+            rel = Rel.GE
+        c = fraction_canonicalize_constraint(coeffs, rel, -vec[0])
+        prev = seen.get((c.coeffs, c.rhs))
+        if prev is None or order[c.rel] < order[prev.rel]:
+            seen[(c.coeffs, c.rhs)] = c
+    return tuple(sorted(seen.values(), key=Constraint.sort_key))
 
 
 def fm_empty(cs, dim: int) -> bool:
