@@ -257,8 +257,13 @@ def analyze(
             return store
         if isinstance(s, imp.Assign):
             return abstract_assign(store, s.name, s.expr)
-        if isinstance(s, imp.Seq):
-            return eval_stmt(s.second, eval_stmt(s.first, store))
+        if isinstance(s, imp.Seq):  # a loop along the chain, however long
+            store = eval_stmt(s.first, store)
+            while isinstance(s.second, imp.Seq):
+                s = s.second
+                result.entries[s.pid] = store
+                store = eval_stmt(s.first, store)
+            return eval_stmt(s.second, store)
         if isinstance(s, imp.If):
             then_out = eval_stmt(s.then, filter_store(store, s.cond, True))
             else_out = eval_stmt(s.orelse, filter_store(store, s.cond, False))

@@ -4,6 +4,18 @@ Output is deterministic: constraints print with integer coefficients,
 terms in declared variable order, equalities first, and systems sorted
 by the canonical coefficient order.  `--format records` emits
 tab-separated `kind<TAB>key<TAB>{constraints}` lines for tooling.
+
+`poly` scripts use the shared lexer of `parse` and this grammar:
+
+    script ::= (stmt | ';')*
+    stmt   ::= 'vars' NAME (',' NAME)* ';' | 'print' expr ';' | NAME '=' expr ';'
+    expr   ::= ['nnc'] '{' constraints '}' | NAME | NAME '(' expr (',' arg)* ')'
+
+`_OPERATIONS` gives the kinds of each operation's further arguments.
+A literal's dimension is the number of names: those of the `vars`
+statements or, with none, those in the literals, in order.  Each
+statement runs as soon as it is read, so a `print` writes its line
+before a later statement fails.
 """
 
 from __future__ import annotations
@@ -16,8 +28,10 @@ from typing import Iterator
 from . import imp
 from .analyzer import AbstractStore, AnalysisError, AnalysisOptions, analyze
 from .hybrid import NonConvergenceError, ReachOptions, parse_automaton, reach
-from .linalg import LinExpr, format_generator
-from .parse import ParseError, parse_constraints, parse_linexpr
+from .linalg import format_generator
+from .parse import (
+    ParseError, Token, Tokens, constraint_list, linear_expr, parse_constraints, relation_index,
+)
 from .polyhedron import Polyhedron, Topology, standard_widening
 from .powerset import PolySet
 
@@ -32,24 +46,15 @@ EXIT_NO_CONVERGENCE = 3
 
 def cmd_analyze(args) -> int:
     try:
-        text = open(args.file).read()
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
+        text = _read(args.file)
         opts = AnalysisOptions(domain=args.domain, delay=args.delay, cap=args.cap)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
         program = imp.parse_program(text)
         names = list(program.variables)
         idx = {v: i for i, v in enumerate(names)}
         cs = parse_constraints(args.assume, idx, len(names)) if args.assume else []
         initial = AbstractStore.from_constraints(names, cs, opts.domain)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except ValueError as e:
+        return _input_error(e)
     try:
         result = analyze(program, initial, opts)
     except (AnalysisError, ArithmeticError) as e:
@@ -76,39 +81,36 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _read(path: str) -> str:
+    """The text of the file at `path`; one that cannot be read is a ValueError."""
+    try:
+        return open(path).read()
+    except OSError as e:
+        raise ValueError(e) from None
+
+
+def _input_error(e: ValueError) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 # ---------------------------------------------------------------------------
 # reach
 # ---------------------------------------------------------------------------
 
 def cmd_reach(args) -> int:
     try:
-        text = open(args.file).read()
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        automaton = parse_automaton(text)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    names = list(automaton.variables)
-    project_dims = None
-    kept_names = names
-    if args.project:
-        wanted = [v.strip() for v in args.project.split(",")]
+        automaton = parse_automaton(_read(args.file))
+        names = list(automaton.variables)
+        wanted = [v.strip() for v in args.project.split(",")] if args.project else names
         for v in wanted:
             if v not in names:
-                print(f"error: unknown variable {v!r} in --project", file=sys.stderr)
-                return EXIT_INPUT_ERROR
-        project_dims = [i for i, v in enumerate(names) if v not in wanted]
-        kept_names = [v for v in names if v in wanted]
-    try:
+                raise ValueError(f"unknown variable {v!r} in --project")
         opts = ReachOptions(
             domain=args.domain, delay=args.delay, cap=args.cap, max_iter=args.max_iter
         )
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(e)
     try:
         result = reach(automaton, opts)
     except NonConvergenceError as e:
@@ -117,30 +119,24 @@ def cmd_reach(args) -> int:
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    def proj(p: Polyhedron) -> Polyhedron:
-        return p.remove_dimensions(project_dims) if project_dims else p
+    kept_names = [v for v in names if v in wanted]
+    dropped = [i for i, v in enumerate(names) if v not in wanted]
+
+    def proj(p: Polyhedron) -> str:
+        return p.remove_dimensions(dropped).constraints_pretty(kept_names)
+
+    def emit(key: str, label: str, rendered: str) -> None:
+        records = args.format == "records"
+        print(f"location\t{key}\t{rendered}" if records else f"{label}: {rendered}")
 
     for loc in automaton.locations:
         region = result.regions[loc.name]
         if isinstance(region, PolySet):
-            pieces = sorted(proj(p).constraints_pretty(kept_names) for p in region.elements)
-            for i, text_piece in enumerate(pieces):
-                if args.format == "records":
-                    print(f"location\t{loc.name}[{i}]\t{text_piece}")
-                else:
-                    print(f"{loc.name}[{i}]: {text_piece}")
-            hull = proj(region.collapse())
-            rendered = hull.constraints_pretty(kept_names)
-            if args.format == "records":
-                print(f"location\t{loc.name}\t{rendered}")
-            else:
-                print(f"{loc.name} hull: {rendered}")
+            for i, piece in enumerate(sorted(proj(p) for p in region.elements)):
+                emit(f"{loc.name}[{i}]", f"{loc.name}[{i}]", piece)
+            emit(loc.name, f"{loc.name} hull", proj(region.collapse()))
         else:
-            rendered = proj(region).constraints_pretty(kept_names)
-            if args.format == "records":
-                print(f"location\t{loc.name}\t{rendered}")
-            else:
-                print(f"{loc.name}: {rendered}")
+            emit(loc.name, loc.name, proj(region))
     if args.format != "records":
         print(f"# converged in {result.iterations} sweeps")
     return 0
@@ -150,22 +146,35 @@ def cmd_reach(args) -> int:
 # poly: a desk calculator for the kernel
 # ---------------------------------------------------------------------------
 
-class _PolyScript:
-    """Line-oriented calculator over named polyhedra.
+# Each operation's arguments after its first, a polyhedron p, by kind:
+# `poly` a polyhedron, `var` one of p's variables, `assign` `var := e`,
+# `bound` `_` or e, `int` INT, `relation` a literal over v and v' or a
+# polyhedron, `coordinate` a rational; a starred kind takes any number.
+_OPERATIONS = {
+    "hull": (("poly",), Polyhedron.poly_hull),
+    "meet": (("poly",), Polyhedron.intersection),
+    "widen": (("poly",), standard_widening),
+    "elapse": (("poly",), Polyhedron.time_elapse),
+    "concat": (("poly",), Polyhedron.concatenate),
+    "contains": (("poly",), Polyhedron.contains),
+    "equals": (("poly",), Polyhedron.equals),
+    "closure": ((), Polyhedron.topological_closure),
+    "empty": ((), Polyhedron.is_empty),
+    "universe": ((), Polyhedron.is_universe),
+    "gens": ((), Polyhedron.minimized_generators),
+    "image": (("assign",), lambda p, a: p.affine_image(*a)),
+    "preimage": (("assign",), lambda p, a: p.affine_preimage(*a)),
+    "bimage": (("var", "bound", "bound"), Polyhedron.bounded_affine_image),
+    "embed": (("int",), Polyhedron.add_dimensions),
+    "relimage": (("relation",), Polyhedron.relation_image),
+    "drop": (("var*",), Polyhedron.remove_dimensions),
+    "permute": (("int*",), Polyhedron.map_dimensions),
+    "contains_point": (("coordinate*",), Polyhedron.contains_point),
+}
 
-    Statements (each ended by ';'):
-        vars x, y;
-        A = {x>=0, y=0};            closed constraint literal
-        B = nnc {x>0};              strict constraints allowed
-        print EXPR;                 constraint system of the value
-        print gens(EXPR);           generator system
-    Expressions:
-        hull(a,b) meet(a,b) widen(a,b) elapse(a,b) closure(a)
-        image(a, x := e) preimage(a, x := e) bimage(a, x, lo, hi)
-        drop(a, x, ...) embed(a, k) concat(a, b) permute(a, i, ...)
-        relimage(a, rel) contains(a, b) equals(a, b) empty(a)
-        universe(a) contains_point(a, c1, ...)
-    """
+
+class _PolyScript:
+    """The `poly` calculator: named polyhedra, read as the module docstring says."""
 
     def __init__(self):
         self.names: list[str] = []
@@ -177,197 +186,154 @@ class _PolyScript:
             idx.setdefault(f"d{v}", i)
         return idx
 
-    def ensure_vars(self, text: str) -> None:
-        import re
-
-        for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text):
-            if name.startswith("d") and name[1:] in self.names:
-                continue
-            if name not in self.names:
-                self.names.append(name)
-
     def run(self, script: str) -> Iterator[str]:
         """Run the script, yielding each printed line as its statement runs."""
-        body = "\n".join(line.split("#", 1)[0] for line in script.splitlines())
-        statements = [s.strip() for s in body.split(";") if s.strip()]
-        # first pass: collect variable names from literals in order
-        import re
-
-        for stmt in statements:
-            if stmt.startswith("vars "):
-                for v in stmt[5:].split(","):
-                    v = v.strip()
-                    if v and v not in self.names:
-                        self.names.append(v)
-        if not self.names:
-            for stmt in statements:
-                for lit in re.findall(r"\{([^{}]*)\}", stmt):
-                    self.ensure_vars(lit)
-        for stmt in statements:
-            if stmt.startswith("vars "):
+        ts = Tokens(script)
+        self.names = _first_names(ts.tokens)
+        while not ts.at_end():
+            if ts.accept(";"):
                 continue
-            if stmt.startswith("print "):
-                yield self.show(self.expr(stmt[6:].strip()))
-                continue
-            m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", stmt, re.S)
-            if m is None:
-                raise ParseError(f"cannot parse statement {stmt!r}")
-            value = self.expr(m.group(2).strip())
-            if not isinstance(value, Polyhedron):
-                raise ParseError("only polyhedra can be named")
-            self.env[m.group(1)] = value
+            tok = ts.name()
+            if tok[1] == "vars":
+                ts.names()
+            elif tok[1] == "print":
+                value = self.expr(ts)
+                ts.take(";")
+                yield _at(tok, self.show, value)
+            else:
+                ts.take("=")
+                self.env[tok[1]] = self.poly(ts, "only polyhedra can be named")
+                ts.take(";")
 
     def show(self, value) -> str:
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, Polyhedron):
             return value.constraints_pretty(self.names[: value.dim])
-        if isinstance(value, tuple):  # generator listing
-            return "{" + ", ".join(format_generator(g) for g in value) + "}"
-        return str(value)
+        return "{" + ", ".join(format_generator(g) for g in value) + "}"
 
-    def literal(self, text: str, topology: Topology) -> Polyhedron:
-        inner = text.strip()[1:-1]
-        n = len(self.names)
-        cs = parse_constraints(inner, self.var_index(n), n) if inner.strip() else []
-        return Polyhedron.from_constraints(n, topology, cs)
+    def literal(self, ts: Tokens, dim: int, index: dict[str, int]) -> Polyhedron:
+        start = ts.peek()
+        topology = Topology.NNC if ts.accept("nnc") else Topology.CLOSED
+        ts.take("{")
+        cs = constraint_list(ts, index, dim, end=("}",))
+        ts.take("}")
+        return _at(start, Polyhedron.from_constraints, dim, topology, cs)
 
-    def expr(self, text: str):
-        import re
+    def expr(self, ts: Tokens):
+        if ts.at("{") or ts.at("nnc"):
+            return self.literal(ts, len(self.names), self.var_index(len(self.names)))
+        tok = ts.name()
+        if not ts.at("("):
+            if tok[1] not in self.env:
+                raise ParseError(f"unknown value {tok[1]!r}", tok[2], tok[3])
+            return self.env[tok[1]]
+        if tok[1] not in _OPERATIONS:
+            raise ParseError(f"unknown operation {tok[1]!r}", tok[2], tok[3])
+        kinds, operation = _OPERATIONS[tok[1]]
+        ts.enter()
+        ts.take("(")
+        args = [self.poly(ts)]
+        for kind in kinds:
+            if not kind.endswith("*"):
+                ts.take(",")
+                args.append(self.argument(ts, kind, args[0].dim))
+                continue
+            items = []
+            while ts.accept(","):
+                items.append(self.argument(ts, kind[:-1], args[0].dim))
+            args.append(items)
+        ts.take(")")
+        ts.leave()
+        return _at(tok, operation, *args)
 
-        text = text.strip()
-        if text.startswith("nnc"):
-            rest = text[3:].strip()
-            if rest.startswith("{"):
-                return self.literal(rest, Topology.NNC)
-        if text.startswith("{"):
-            return self.literal(text, Topology.CLOSED)
-        m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)$", text, re.S)
-        if m is None:
-            if text in self.env:
-                return self.env[text]
-            raise ParseError(f"unknown value {text!r}")
-        func, inner = m.group(1), m.group(2)
-        args = self._split_args(inner)
-        return self.apply(func, args)
+    def poly(self, ts: Tokens, message: str = "expected a polyhedron") -> Polyhedron:
+        start = ts.peek()
+        value = self.expr(ts)
+        if not isinstance(value, Polyhedron):
+            raise ParseError(message, start[2], start[3])
+        return value
 
-    @staticmethod
-    def _split_args(inner: str) -> list[str]:
-        args, depth, current = [], 0, []
-        for ch in inner:
-            if ch in "({":
-                depth += 1
-            elif ch in ")}":
-                depth -= 1
-            if ch == "," and depth == 0:
-                args.append("".join(current).strip())
-                current = []
-            else:
-                current.append(ch)
-        tail = "".join(current).strip()
-        if tail:
-            args.append(tail)
-        return args
-
-    def _poly(self, text: str) -> Polyhedron:
-        v = self.expr(text)
-        if not isinstance(v, Polyhedron):
-            raise ParseError(f"expected a polyhedron, got {text!r}")
-        return v
-
-    def _linexpr(self, text: str, dim: int) -> LinExpr:
-        return parse_linexpr(text, self.var_index(dim), dim)
-
-    def apply(self, func: str, args: list[str]):
-        if func == "hull":
-            return self._poly(args[0]).poly_hull(self._poly(args[1]))
-        if func == "meet":
-            return self._poly(args[0]).intersection(self._poly(args[1]))
-        if func == "widen":
-            return standard_widening(self._poly(args[0]), self._poly(args[1]))
-        if func == "elapse":
-            return self._poly(args[0]).time_elapse(self._poly(args[1]))
-        if func == "closure":
-            return self._poly(args[0]).topological_closure()
-        if func in ("image", "preimage"):
-            p = self._poly(args[0])
-            m = args[1].split(":=")
-            if len(m) != 2:
-                raise ParseError("expected 'var := expression'")
-            var = m[0].strip()
-            if var not in self.names:
-                raise ParseError(f"unknown variable {var!r}")
-            k = self.names.index(var)
-            e = self._linexpr(m[1].strip(), p.dim)
-            return p.affine_image(k, e) if func == "image" else p.affine_preimage(k, e)
-        if func == "bimage":
-            p = self._poly(args[0])
-            var = args[1].strip()
-            if var not in self.names:
-                raise ParseError(f"unknown variable {var!r}")
-            k = self.names.index(var)
-            lo = None if args[2].strip() == "_" else self._linexpr(args[2], p.dim)
-            hi = None if args[3].strip() == "_" else self._linexpr(args[3], p.dim)
-            return p.bounded_affine_image(k, lo, hi)
-        if func == "drop":
-            p = self._poly(args[0])
-            dims = [self.names.index(a.strip()) for a in args[1:]]
-            return p.remove_dimensions(dims)
-        if func == "embed":
-            return self._poly(args[0]).add_dimensions(int(args[1]))
-        if func == "concat":
-            return self._poly(args[0]).concatenate(self._poly(args[1]))
-        if func == "permute":
-            return self._poly(args[0]).map_dimensions([int(a) for a in args[1:]])
-        if func == "relimage":
-            p = self._poly(args[0])
-            rel_text = args[1].strip()
-            if rel_text.startswith("{") or rel_text.startswith("nnc"):
-                topology = Topology.NNC if rel_text.startswith("nnc") else Topology.CLOSED
-                inner = rel_text[rel_text.index("{") + 1 : rel_text.rindex("}")]
-                idx = {v: i for i, v in enumerate(self.names[: p.dim])}
-                for i, v in enumerate(self.names[: p.dim]):
-                    idx[f"{v}'"] = p.dim + i
-                cs = parse_constraints(inner, idx, 2 * p.dim)
-                rel = Polyhedron.from_constraints(2 * p.dim, topology, cs)
-            else:
-                rel = self._poly(args[1])
-            return p.relation_image(rel)
-        if func == "contains":
-            return self._poly(args[0]).contains(self._poly(args[1]))
-        if func == "equals":
-            return self._poly(args[0]).equals(self._poly(args[1]))
-        if func == "empty":
-            return self._poly(args[0]).is_empty()
-        if func == "universe":
-            return self._poly(args[0]).is_universe()
-        if func == "contains_point":
-            p = self._poly(args[0])
-            return p.contains_point([_number(a) for a in args[1:]])
-        if func == "gens":
-            return self._poly(args[0]).minimized_generators()
-        raise ParseError(f"unknown operation {func!r}")
+    def argument(self, ts: Tokens, kind: str, dim: int):
+        """An argument of `kind` after a polyhedron of dimension `dim`."""
+        if kind == "relation" and (ts.at("{") or ts.at("nnc")):
+            return self.literal(ts, 2 * dim, relation_index(self.names[:dim], dim))
+        if kind in ("poly", "relation"):
+            return self.poly(ts)
+        if kind == "coordinate":
+            return _coordinate(ts)
+        if kind == "int":
+            tok = ts.peek()
+            if tok is None or tok[0] != "int":
+                ts.error("expected an integer")
+            return int(ts.take()[1])
+        if kind == "bound" and ts.accept("_"):
+            return None
+        if kind == "bound":
+            return linear_expr(ts, self.var_index(dim), dim)
+        tok = ts.name()
+        if tok[1] not in self.names[:dim]:
+            raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
+        k = self.names.index(tok[1])
+        if kind == "var":
+            return k
+        ts.take(":=")
+        return k, linear_expr(ts, self.var_index(dim), dim)
 
 
-def _number(text: str) -> Fraction:
+def _first_names(tokens: list[Token]) -> list[str]:
+    """The names of the `vars` statements or, with none, of the literals, in order.
+
+    In a literal `x'` counts as `x`, and `d<v>` after `v` is no new name.
+    """
+    declared, seen, prev, where = [], [], ";", None
+    for kind, text, _, _ in tokens:
+        if text == "vars" and prev == ";" or text in ("{", "}", ";"):
+            where = text
+        elif kind == "name" and where in ("vars", "{"):
+            (declared if where == "vars" else seen).append(text.rstrip("'"))
+        prev = text
+    if declared:
+        return list(dict.fromkeys(declared))
+    names: list[str] = []
+    for name in seen:
+        if name not in names and not (name.startswith("d") and name[1:] in names):
+            names.append(name)
+    return names
+
+
+def _coordinate(ts: Tokens) -> Fraction:
+    """`['-'] INT ['/' INT]`, quoted whole when it is not a number."""
+    start = ts.take()
+    tok, text = start, start[1]
+    if text == "-":
+        tok = ts.take()
+        text += tok[1]
+    valid = tok[0] == "int"
+    if valid and ts.accept("/"):
+        tok = ts.take()
+        text += "/" + tok[1]
+        valid = tok[0] == "int" and int(tok[1]) != 0
+    if not valid:
+        raise ParseError(f"not a rational number: {text!r}", start[2], start[3])
+    return Fraction(text)
+
+
+def _at(tok: Token, fn, *args):
+    """`fn(*args)`, with a ValueError it raises reported at `tok`."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a rational number: {text.strip()!r}") from None
+        return fn(*args)
+    except ValueError as e:
+        raise ParseError(str(e), tok[2], tok[3]) from None
 
 
 def cmd_poly(args) -> int:
     try:
-        script = open(args.script).read() if args.script != "-" else sys.stdin.read()
-    except (OSError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
+        script = _read(args.script) if args.script != "-" else sys.stdin.read()
         for line in _PolyScript().run(script):
             print(line)
-    except (ParseError, ValueError, KeyError, IndexError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except ValueError as e:
+        return _input_error(e)
     return 0
 
 

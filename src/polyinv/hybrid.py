@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .linalg import Constraint, canonicalize_constraint
-from .parse import ParseError, Tokens, constraint_list
+from .parse import ParseError, Tokens, constraint_list, relation_index
 from .polyhedron import AffineMap, Polyhedron, Topology
 # re-exported: perfbench/test_perfbench.py reads hybrid.standard_widening
 from .polyhedron import standard_widening  # noqa: F401
@@ -192,9 +192,7 @@ def parse_automaton(text: str) -> HybridAutomaton:
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
     rate_index = {f"d{v}": i for i, v in enumerate(variables)}
-    rel_index = dict(index)
-    for i, v in enumerate(variables):
-        rel_index[f"{v}'"] = n + i
+    rel_index = relation_index(variables, n)
 
     def region(cs: list[Constraint] | None, default: Polyhedron) -> Polyhedron:
         return Polyhedron.from_constraints(n, Topology.NNC, cs) if cs else default
@@ -238,8 +236,7 @@ def parse_automaton(text: str) -> HybridAutomaton:
             dst = ts.name()
             references += [(src, "transition"), (dst, "transition")]
             label = None
-            if ts.at("sync"):
-                ts.take()
+            if ts.accept("sync"):
                 label = ts.name()[1]
                 labels.add(label)
             fields = _sections(ts, 2 * n, {"guard": index, "update": rel_index})
@@ -274,8 +271,7 @@ def _sections(
     ts.take("{")
     fields: dict[str, list[Constraint]] = {}
     while not ts.at("}"):
-        if ts.at(";"):
-            ts.take()
+        if ts.accept(";"):
             continue
         key = ts.name()
         if key[1] not in allowed:

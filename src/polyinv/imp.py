@@ -17,14 +17,21 @@ analyzer as the program-point id, plus the source line/column.  The
 interpreter is big-step with a fuel bound: each statement execution and
 loop iteration costs one unit, and exhaustion reports divergence, so
 every infinite run is caught by any finite fuel.
+
+A sequence is a right-leaning chain of binary `Seq` nodes, and every
+walk loops along that chain, so a program may have any number of
+statements.  Every other edge of the tree is one level of nesting:
+a tree deeper than `parse.MAX_DEPTH` is a ParseError, which keeps the
+walks that recurse on those edges inside Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterator
 
-from .parse import ParseError, Token, Tokens
+from .parse import MAX_DEPTH, TOO_DEEP, ParseError, Token, Tokens
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +128,18 @@ class Program:
         yield from _walk_statements(self.body)
 
 
+def _fields(node: Node) -> list:
+    """The values of the fields after pid, line and col, in pid order."""
+    return [getattr(node, f) for f in node.__match_args__[3:]]
+
+
 def _walk_statements(s: Stmt) -> Iterator[Stmt]:
-    yield s
-    if isinstance(s, Seq):
+    while isinstance(s, Seq):
+        yield s
         yield from _walk_statements(s.first)
-        yield from _walk_statements(s.second)
-    elif isinstance(s, If):
+        s = s.second
+    yield s
+    if isinstance(s, If):
         yield from _walk_statements(s.then)
         yield from _walk_statements(s.orelse)
     elif isinstance(s, While):
@@ -163,13 +176,15 @@ class _Parser(Tokens):
         if kind == "int":
             self.take()
             return IntLit(0, line, col, int(text))
-        if text == "-":
+        if text in ("-", "("):
+            self.enter()
             self.take()
-            return BinOp(0, line, col, "-", IntLit(0, line, col, 0), self.atom())
-        if text == "(":
-            self.take()
-            e = self.aexp()
-            self.take(")")
+            if text == "-":
+                e = BinOp(0, line, col, "-", IntLit(0, line, col, 0), self.atom())
+            else:
+                e = self.aexp()
+                self.take(")")
+            self.leave()
             return e
         if kind == "name":
             return Var(0, line, col, self.variable()[1])
@@ -202,13 +217,19 @@ class _Parser(Tokens):
 
     # statements --------------------------------------------------------------
 
-    def block_or_stmt(self) -> Stmt:
-        if self.at("{"):
-            self.take()
+    def body(self) -> Stmt:
+        """An `if` or `while` body, or a braced block in a sequence: one level deeper."""
+        self.enter()
+        if self.accept("{"):
             s = self.sequence(until="}")
             self.take("}")
-            return s
-        return self.statement()
+        else:
+            s = self.statement()
+        self.leave()
+        return s
+
+    def element(self) -> Stmt:
+        return self.body() if self.at("{") else self.statement()
 
     def statement(self) -> Stmt:
         tok = self.peek()
@@ -222,14 +243,14 @@ class _Parser(Tokens):
             self.take()
             cond = self.bexp()
             self.take("then")
-            then = self.block_or_stmt()
+            then = self.body()
             self.take("else")
-            return If(0, line, col, cond, then, self.block_or_stmt())
+            return If(0, line, col, cond, then, self.body())
         if text == "while":
             self.take()
             cond = self.bexp()
             self.take("do")
-            return While(0, line, col, cond, self.block_or_stmt())
+            return While(0, line, col, cond, self.body())
         if kind == "name":
             name = self.variable()[1]
             self.take(":=")
@@ -237,12 +258,11 @@ class _Parser(Tokens):
         self.error("expected a statement")
 
     def sequence(self, until: str | None = None) -> Stmt:
-        stmts = [self.block_or_stmt()]
-        while self.at(";"):
-            self.take()
+        stmts = [self.element()]
+        while self.accept(";"):
             if self.at(until) if until is not None else self.at_end():
                 break  # trailing separator
-            stmts.append(self.block_or_stmt())
+            stmts.append(self.element())
         out = stmts[-1]
         for s in reversed(stmts[:-1]):
             out = Seq(0, s.line, s.col, s, out)
@@ -250,68 +270,41 @@ class _Parser(Tokens):
 
 
 def _renumber(program_body: Stmt) -> Stmt:
-    """Assign stable pre-order pids over the whole tree."""
-    counter = [0]
+    """Assign stable pre-order pids over the whole tree, and bound its depth."""
+    pids = count()
 
-    def visit(node):
-        pid = counter[0]
-        counter[0] += 1
-        if isinstance(node, Seq):
-            first = visit(node.first)
-            second = visit(node.second)
-            return replace(node, pid=pid, first=first, second=second)
-        if isinstance(node, If):
-            cond = visit(node.cond)
-            then = visit(node.then)
-            orelse = visit(node.orelse)
-            return replace(node, pid=pid, cond=cond, then=then, orelse=orelse)
-        if isinstance(node, While):
-            cond = visit(node.cond)
-            body = visit(node.body)
-            return replace(node, pid=pid, cond=cond, body=body)
-        if isinstance(node, BinOp):
-            left = visit(node.left)
-            right = visit(node.right)
-            return replace(node, pid=pid, left=left, right=right)
-        if isinstance(node, Compare):
-            left = visit(node.left)
-            right = visit(node.right)
-            return replace(node, pid=pid, left=left, right=right)
-        if isinstance(node, Assign):
-            expr = visit(node.expr)
-            return replace(node, pid=pid, expr=expr)
-        return replace(node, pid=pid)
+    def visit(node, depth):
+        if depth > MAX_DEPTH:
+            raise ParseError(TOO_DEEP, node.line, node.col)
+        spine = []  # each Seq of the chain, with its pid and its renumbered first
+        while isinstance(node, Seq):
+            pid = next(pids)
+            spine.append((node, pid, visit(node.first, depth + 1)))
+            node = node.second
+        pid = next(pids)
+        values = [visit(v, depth + 1) if isinstance(v, Node) else v for v in _fields(node)]
+        out = type(node)(pid, node.line, node.col, *values)
+        for seq, pid, first in reversed(spine):
+            out = Seq(pid, seq.line, seq.col, first, out)
+        return out
 
-    return visit(program_body)
+    return visit(program_body, 1)
 
 
 def _collect_vars(s, acc: list[str]) -> None:
-    if isinstance(s, Var):
-        if s.name not in acc:
-            acc.append(s.name)
-    elif isinstance(s, (BinOp, Compare)):
-        _collect_vars(s.left, acc)
-        _collect_vars(s.right, acc)
-    elif isinstance(s, Assign):
-        if s.name not in acc:
-            acc.append(s.name)
-        _collect_vars(s.expr, acc)
-    elif isinstance(s, Seq):
+    while isinstance(s, Seq):
         _collect_vars(s.first, acc)
-        _collect_vars(s.second, acc)
-    elif isinstance(s, If):
-        _collect_vars(s.cond, acc)
-        _collect_vars(s.then, acc)
-        _collect_vars(s.orelse, acc)
-    elif isinstance(s, While):
-        _collect_vars(s.cond, acc)
-        _collect_vars(s.body, acc)
+        s = s.second
+    if isinstance(s, (Var, Assign)) and s.name not in acc:
+        acc.append(s.name)
+    for v in _fields(s):
+        if isinstance(v, Node):
+            _collect_vars(v, acc)
 
 
 def parse_program(text: str) -> Program:
     parser = _Parser(text)
-    if parser.at("vars"):
-        parser.take()
+    if parser.accept("vars"):
         parser.declared = []
         for tok in parser.names():
             if tok[1] in parser.declared:
@@ -359,7 +352,11 @@ def format_stmt(s: Stmt, indent: int = 0) -> str:
     if isinstance(s, Assign):
         return f"{pad}{s.name} := {format_aexp(s.expr)}"
     if isinstance(s, Seq):
-        return f"{format_stmt(s.first, indent)};\n{format_stmt(s.second, indent)}"
+        parts = []
+        while isinstance(s, Seq):
+            parts.append(format_stmt(s.first, indent))
+            s = s.second
+        return ";\n".join(parts + [format_stmt(s, indent)])
     if isinstance(s, If):
         return (
             f"{pad}if {format_bexp(s.cond)} then {{\n"
@@ -445,6 +442,10 @@ def exec_program(
             raise _OutOfFuel()
 
     def run(s: Stmt, sto: ConcreteStore) -> ConcreteStore:
+        while isinstance(s, Seq):
+            spend()
+            sto = run(s.first, sto)
+            s = s.second
         spend()
         if isinstance(s, Skip):
             return sto
@@ -453,8 +454,6 @@ def exec_program(
             out = dict(sto)
             out[s.name] = value
             return out
-        if isinstance(s, Seq):
-            return run(s.second, run(s.first, sto))
         if isinstance(s, If):
             branch = s.then if eval_bexp(s.cond, sto) else s.orelse
             return run(branch, sto)

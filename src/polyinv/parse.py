@@ -1,11 +1,11 @@
 """The shared lexer and constraint grammar.
 
-One lexical rule covers `.imp` programs, `.lha` automata and constraint
-text such as `--assume`:
+One lexical rule covers `.imp` programs, `.lha` automata, `poly` scripts
+and constraint text such as `--assume`:
 
     INT  ::= [0-9]+
     NAME ::= [A-Za-z_][A-Za-z0-9_]* ["'"]
-    OP   ::= ':=' | '->' | '<=' | '>=' | one of  < > = + - * ( ) , ; : { }
+    OP   ::= ':=' | '->' | '<=' | '>=' | one of  < > = + - * / ( ) , ; : { }
 
 Whitespace and `#` comments (to the end of the line) separate tokens;
 any other character is a ParseError at its line:col.  Every parser
@@ -21,12 +21,17 @@ the whole text:
 
 Callers provide the identifier-to-dimension mapping; a primed name
 such as `x'` is a variable only where the mapping has it.
+
+Recursive parsers step into each nested construct with `Tokens.enter`,
+and text nested more than MAX_DEPTH levels deep is a ParseError, so no
+parser exceeds Python's recursion limit; the `.imp` parser bounds the
+depth of the tree it builds by the same constant.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Mapping, NoReturn
+from typing import Mapping, NoReturn, Sequence
 
 from .linalg import Constraint, LinExpr, constraint_from_exprs
 
@@ -40,6 +45,9 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+MAX_DEPTH = 100  # the deepest nesting any input may have
+TOO_DEEP = f"nesting deeper than {MAX_DEPTH} levels"
+
 Token = tuple[str, str, int, int]  # (kind, text, line, col); kind in int/name/op (.imp adds kw)
 
 # Within one line, whitespace and a comment are skipped as the prefix of
@@ -47,7 +55,7 @@ Token = tuple[str, str, int, int]  # (kind, text, line, col); kind in int/name/o
 # or the end of the line follows, so the prefix never backtracks.
 _TOKEN_RE = re.compile(
     r"(?:\s+|#.*)*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*'?)|(?P<int>[0-9]+)"
-    r"|(?P<op>:=|->|<=|>=|[<>=+\-*(),;:{}])|(?P<bad>\S)|\Z)"
+    r"|(?P<op>:=|->|<=|>=|[<>=+\-*/(),;:{}])|(?P<bad>\S)|\Z)"
 )
 
 _KINDS = (None, "name", "int", "op", "bad")  # by the group numbers of _TOKEN_RE
@@ -76,6 +84,7 @@ class Tokens:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # nested constructs entered and not yet left
         self.end = (text.count("\n") + 1, len(text) - text.rfind("\n"))
 
     def peek(self) -> Token | None:
@@ -84,6 +93,12 @@ class Tokens:
     def at(self, text: str) -> bool:
         tok = self.peek()
         return tok is not None and tok[1] == text
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if it has this text."""
+        found = self.at(text)
+        self.pos += found
+        return found
 
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -94,6 +109,16 @@ class Tokens:
         if tok is None:
             raise ParseError(f"{message}, got end of input", *self.end)
         raise ParseError(f"{message}, got {tok[1]!r}", tok[2], tok[3])
+
+    def enter(self) -> None:
+        """Step into a nested construct that starts at the next token."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            tok = self.peek()
+            raise ParseError(TOO_DEEP, *(tok[2:] if tok else self.end))
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     def take(self, expect: str | None = None) -> Token:
         """Take the next token; with `expect`, it must have that text."""
@@ -117,8 +142,7 @@ class Tokens:
     def names(self) -> list[Token]:
         """Take `NAME (',' NAME)* ';'`."""
         out = [self.name()]
-        while self.at(","):
-            self.take()
+        while self.accept(","):
             out.append(self.name())
         self.take(";")
         return out
@@ -139,16 +163,14 @@ def _term(ts: Tokens, var_index: Mapping[str, int], dim: int) -> LinExpr:
     if tok is None or tok[0] != "int":
         return _variable(ts, var_index, dim, "a term")
     ts.take()
-    if not ts.at("*"):
+    if not ts.accept("*"):
         return LinExpr.constant(int(tok[1]), dim)
-    ts.take()
     return _variable(ts, var_index, dim, "a variable after '*'").scale(int(tok[1]))
 
 
-def _expr(ts: Tokens, var_index: Mapping[str, int], dim: int) -> LinExpr:
-    negate = ts.at("-")
-    if negate:
-        ts.take()
+def linear_expr(ts: Tokens, var_index: Mapping[str, int], dim: int) -> LinExpr:
+    """`['-'] term (('+'|'-') term)*` at the cursor."""
+    negate = ts.accept("-")
     acc = _term(ts, var_index, dim)
     if negate:
         acc = -acc
@@ -160,12 +182,12 @@ def _expr(ts: Tokens, var_index: Mapping[str, int], dim: int) -> LinExpr:
 
 
 def _constraint(ts: Tokens, var_index: Mapping[str, int], dim: int) -> Constraint:
-    lhs = _expr(ts, var_index, dim)
+    lhs = linear_expr(ts, var_index, dim)
     tok = ts.peek()
     if tok is None or tok[1] not in _RELATIONS:
         ts.error("expected a relation")
     ts.take()
-    return constraint_from_exprs(lhs, tok[1], _expr(ts, var_index, dim))
+    return constraint_from_exprs(lhs, tok[1], linear_expr(ts, var_index, dim))
 
 
 def constraint_list(
@@ -180,26 +202,22 @@ def constraint_list(
     if tok is None or tok[1] in end:
         return []
     out = [_constraint(ts, var_index, dim)]
-    while ts.at(","):
-        ts.take()
+    while ts.accept(","):
         out.append(_constraint(ts, var_index, dim))
     return out
 
 
-def parse_linexpr(text: str, var_index: Mapping[str, int], dim: int) -> LinExpr:
-    ts = Tokens(text)
-    e = _expr(ts, var_index, dim)
-    if not ts.at_end():
-        ts.error("trailing input after expression")
-    return e
+def relation_index(names: Sequence[str], n: int) -> dict[str, int]:
+    """The mapping of a relation on 2n dimensions: `names[i]` is i, and primed n + i."""
+    index = {v: i for i, v in enumerate(names)}
+    index.update((f"{v}'", n + i) for i, v in enumerate(names))
+    return index
 
 
 def parse_constraints(text: str, var_index: Mapping[str, int], dim: int) -> list[Constraint]:
     """Parse a comma-separated constraint list; '{...}' braces optional."""
     ts = Tokens(text)
-    braced = ts.at("{")
-    if braced:
-        ts.take()
+    braced = ts.accept("{")
     out = constraint_list(ts, var_index, dim, end=("}",) if braced else ())
     if braced:
         ts.take("}")

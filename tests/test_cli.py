@@ -252,11 +252,28 @@ class TestPolyCalculator:
         print elapse(A, {dx=1, dy=0});
         """
         code, out, err = self.run_script(tmp_path, script)
-        assert code == 0, err
-        lines = out.splitlines()
-        assert lines[0] == "{y=0, x<=2, x>=0}"
-        assert "point(" in lines[1] and "ray(" not in lines[1]
-        assert lines[11:16] == ["true"] * 5
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "{y=0, x<=2, x>=0}",
+            "{point(0, 0), point(2, 0)}",
+            "{y=0, x<=3, x>=1}",
+            "{y=0, x<=1, x>=-1}",
+            "{x<=2, -x+y>=0, x-y>=-1, x>=0}",
+            "{x<=2, x>=0}",
+            "{x<=2, x>=0}",
+            "{y=0, x<=2, x>=0}",
+            "{x=0, y<=2, y>=0}",
+            "{x=0}",
+            "{x>=0}",
+            "true",
+            "true",
+            "true",
+            "true",
+            "true",
+            "{y=0, x<=2, x>=0}",
+            "{y=0, x<=2, x>=0}",
+            "{y=0, x>=0}",
+        ]
 
     def test_script_error_exit(self, tmp_path):
         code, _, err = self.run_script(tmp_path, "print nonsense(A);")
@@ -267,7 +284,31 @@ class TestPolyCalculator:
         script = f"vars x;\na = {{x>=0}};\nprint contains_point(a, {coordinate});\n"
         code, out, err = self.run_script(tmp_path, script)
         assert (code, out) == (1, "")
-        assert err == f"error: not a rational number: '{coordinate}'\n"
+        assert err == f"error: 3:25: not a rational number: '{coordinate}'\n"
+
+    @pytest.mark.parametrize(
+        "script, error",
+        [
+            ("vars x;\na = {x>=0};\nprint image(a, x := x +);\n",
+             "3:24: expected a term, got ')'"),
+            ("vars x;\na = {x>=0};\nprint hull(a);\n", "3:13: expected ',' after 'a', got ')'"),
+            ("vars x, y;\na = {x>=0};\nprint drop(a, z);\n", "3:15: unknown variable 'z'"),
+            ("vars x;\na = {x>=0};\nprint embed(a, q);\n", "3:16: expected an integer, got 'q'"),
+            ("vars x;\nprint meet({x>=0},{y<=0});\n", "2:20: unknown variable 'y'"),
+        ],
+    )
+    def test_errors_carry_their_position_in_the_script(self, tmp_path, script, error):
+        assert self.run_script(tmp_path, script) == (1, "", f"error: {error}\n")
+
+    def test_without_vars_the_literals_name_the_dimensions(self, tmp_path):
+        # x' and dx name no new dimension once x is known
+        script = "print elapse({x=0}, {dx=1});\nprint relimage({x>=0}, {x' = x + 1});\nprint {y >= x};\n"
+        assert self.run_script(tmp_path, script) == (0, "{x>=0}\n{x>=1}\n{-x+y>=0}\n", "")
+
+    def test_relation_literal_over_unnamed_dimensions(self, tmp_path):
+        # x' is dimension 2 of the 4-dimensional relation, though only x has a name
+        script = "vars x;\na = embed({x>=0}, 1);\nprint equals(relimage(a, {x' = x}), a);\n"
+        assert self.run_script(tmp_path, script) == (0, "true\n", "")
 
     def test_lines_before_a_failing_statement_are_printed(self, tmp_path):
         script = "vars x;\na = {x>=0};\nprint contains_point(a, 1/2);\nprint nonsense(a);\n"

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import pytest
 
+from polyinv.analyzer import AbstractStore, analyze
 from polyinv.imp import (
     DIVERGENCE,
     Assign,
+    Node,
     Seq,
     Skip,
     While,
@@ -10,7 +14,7 @@ from polyinv.imp import (
     format_program,
     parse_program,
 )
-from polyinv.parse import ParseError
+from polyinv.parse import MAX_DEPTH, ParseError
 
 LOOP = "while 0 < x0 do { x1 := x1 + 2; x0 := x0 - x1 }"
 
@@ -123,3 +127,86 @@ def test_format_parse_roundtrip():
 def test_comments_and_negative_literals():
     p = parse_program("# leading comment\nvars x;\nx := -3  # trailing\n")
     assert exec_program(p, {"x": 0}, fuel=10) == {"x": -3}
+
+
+def _preorder(node):
+    """Every node under `node` in field order, the order pids must follow."""
+    yield node
+    for f in fields(node):
+        child = getattr(node, f.name)
+        if isinstance(child, Node):
+            yield from _preorder(child)
+
+
+def test_pids_number_every_node_in_preorder():
+    p = parse_program(
+        "vars x, y;\nx := 1; if x < y then { y := y - 1; x := x * 2 } else skip;"
+        " while 0 < x do { x := x - (y + 1); skip }; y := 3"
+    )
+    nodes = list(_preorder(p.body))
+    assert [n.pid for n in nodes] == list(range(len(nodes)))
+    assert [s.pid for s in p.statements()] == [n.pid for n in nodes if n in set(p.statements())]
+
+
+def test_each_seq_node_costs_one_unit_of_fuel():
+    p = parse_program("vars x;\nx := 1; x := 2; x := 3")  # two Seq nodes, three assignments
+    assert exec_program(p, {"x": 0}, fuel=5) == {"x": 3}
+    assert exec_program(p, {"x": 0}, fuel=4) is DIVERGENCE
+
+
+def test_a_long_straight_line_program():
+    n = 1200
+    p = parse_program("vars x, y;\n" + ";\n".join(f"x := x + {i}; y := y - x" for i in range(n)))
+    assert sum(isinstance(s, Seq) for s in p.statements()) == 2 * n - 1
+    assert exec_program(p, {"x": 0, "y": 0}, fuel=10**5)["x"] == n * (n - 1) // 2
+    assert format_program(parse_program(format_program(p))) == format_program(p)
+    result = analyze(p, AbstractStore.from_constraints(["x", "y"], []))
+    assert len(result.entries) == 4 * n - 1
+
+
+DEEP = {
+    "braced ifs": "vars x;\n" + "if 0 < x then {\n" * 300 + "x := 1" + "\n} else { skip }" * 300,
+    "whiles": "vars x;\n" + "while 0 < x do {\n" * 400 + "x := x - 1" + "\n}" * 400,
+    "parentheses": "vars x;\nx := " + "(" * 1200 + "x" + ")" * 1200,
+    "braces": "vars x;\n" + "{" * 1200 + "x := 1" + "}" * 1200,
+    "unary minus": "vars x;\nx := " + "- " * 1200 + "x",
+    "sum": "vars x;\nx := " + " + ".join(["x"] * 1200),
+}
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_nesting_past_the_bound_is_a_parse_error(text):
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH} levels") as err:
+        parse_program(text)
+    assert err.value.line is not None and err.value.col is not None
+
+
+AT_THE_BOUND = {
+    "braced ifs": lambda n: (
+        "vars x;\n" + "if 0 < x then {\nx := x - 1;\n" * n + "skip" + "\n} else { skip }" * n
+    ),
+    "unbraced ifs": lambda n: "vars x;\n" + "if 0 < x then " * n + "x := x - 1" + " else skip" * n,
+    "whiles": lambda n: "vars x;\nx := 1;\n" + "while x < 1 do {\n" * n + "x := x + 1" + "\n}" * n,
+    "sum": lambda n: "vars x;\nx := " + " + ".join(["x"] * n),
+    "nested differences": lambda n: "vars x;\nx := " + "x - (" * n + "x" + ")" * n,
+    "products under ifs": lambda n: (
+        "vars x;\n" + "if 0 < x then " * n + "x := " + " * ".join(["x"] * n) + " else skip" * n
+    ),
+}
+
+
+@pytest.mark.parametrize("make", AT_THE_BOUND.values(), ids=AT_THE_BOUND.keys())
+def test_the_deepest_accepted_programs_run(make):
+    n = 1
+    while True:  # the largest n that parses
+        try:
+            parse_program(make(n + 1))
+        except ParseError:
+            break
+        n += 1
+    assert n >= MAX_DEPTH // 3
+    p = parse_program(make(n))
+    analyze(p, AbstractStore.from_constraints(["x"], []))
+    exec_program(p, {"x": 1}, fuel=10**6)
+    again = parse_program(format_program(p))
+    assert [s.pid for s in again.statements()] == [s.pid for s in p.statements()]
