@@ -42,7 +42,7 @@ class AnalysisOptions:
     max_local_iterations: int = 64
 
     def __post_init__(self):
-        check_domain_options(self.domain, self.cap)
+        check_domain_options(self.domain, self.cap, self.delay, self.max_local_iterations)
 
 
 @dataclass(frozen=True)

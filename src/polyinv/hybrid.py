@@ -110,55 +110,43 @@ class HybridAutomaton:
         return warnings
 
     def _is_cutset(self, cut: frozenset[str]) -> bool:
-        names = [l.name for l in self.locations if l.name not in cut]
-        edges = {n: set() for n in names}
-        for t in self.transitions:
-            if t.source in edges and t.target in edges:
-                if t.source == t.target:
-                    return False
-                edges[t.source].add(t.target)
-        seen: dict[str, int] = {}
-
-        def dfs(n: str) -> bool:
-            seen[n] = 1
-            for m in edges[n]:
-                state = seen.get(m)
-                if state == 1:
-                    return True
-                if state is None and dfs(m):
-                    return True
-            seen[n] = 2
-            return False
-
-        return not any(dfs(n) for n in names if n not in seen)
+        """Every cycle passes through ``cut``: the uncut locations have no back edge."""
+        return not self._back_edge_targets([l.name for l in self.locations], cut)
 
     def default_widen_set(self) -> frozenset[str]:
         """Back-edge targets of a depth-first sweep from the initial locations."""
         roots = [l.name for l in self.locations if not l.init.is_empty()]
-        if not roots:
-            roots = [self.locations[0].name] if self.locations else []
-        succ: dict[str, list[str]] = {l.name: [] for l in self.locations}
+        # then every location in file order: unreachable cycles still need cutting
+        return frozenset(self._back_edge_targets(roots + [l.name for l in self.locations]))
+
+    def _back_edge_targets(self, roots: list[str], cut: frozenset[str] = frozenset()) -> set[str]:
+        """Targets of the back edges of one depth-first traversal of the
+        locations outside ``cut``: each unvisited root in turn, successors
+        in transition order."""
+        succ: dict[str, list[str]] = {l.name: [] for l in self.locations if l.name not in cut}
         for t in self.transitions:
-            succ[t.source].append(t.target)
-        color: dict[str, int] = {}
-        cut: set[str] = set()
-
-        def dfs(n: str) -> None:
-            color[n] = 1
-            for m in succ[n]:
-                if color.get(m) == 1:
-                    cut.add(m)
-                elif m not in color:
-                    dfs(m)
-            color[n] = 2
-
-        for r in roots:
-            if r not in color:
-                dfs(r)
-        for n in succ:  # unreachable cycles still need cutting
-            if n not in color:
-                dfs(n)
-        return frozenset(cut)
+            if t.source in succ and t.target in succ:
+                succ[t.source].append(t.target)
+        on_stack: dict[str, bool] = {}  # every visited location; True while on the stack
+        targets: set[str] = set()
+        for root in roots:
+            if root in on_stack or root not in succ:
+                continue
+            on_stack[root] = True
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                n, rest = stack[-1]
+                for m in rest:
+                    if m not in on_stack:
+                        on_stack[m] = True
+                        stack.append((m, iter(succ[m])))
+                        break
+                    if on_stack[m]:
+                        targets.add(m)
+                else:
+                    on_stack[n] = False
+                    stack.pop()
+        return targets
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +232,8 @@ def parse_automaton(text: str) -> HybridAutomaton:
             primed_seen = {
                 d - n for c in fields.get("update", []) for d in range(n, 2 * n) if c.coeffs[d] != 0
             }
-            for i in range(n):
-                if i not in primed_seen:  # omitted primed variables keep their value
-                    coeffs = [0] * (2 * n)
-                    coeffs[i] = 1
-                    coeffs[n + i] = -1
-                    cs.append(canonicalize_constraint(coeffs, "=", 0))
+            # omitted primed variables keep their value
+            cs += [_unchanged(i, n) for i in range(n) if i not in primed_seen]
             rel = Polyhedron.from_constraints(2 * n, Topology.NNC, cs)
             transitions.append(Transition(src[1], label, rel, dst[1]))
     if not locations:
@@ -290,6 +274,18 @@ def _sections(
 # Parallel composition
 # ---------------------------------------------------------------------------
 
+def _unchanged(i: int, n: int) -> Constraint:
+    """``x_i = x_i'`` in a relation over (x, x') of n variables."""
+    coeffs = [0] * (2 * n)
+    coeffs[i] = 1
+    coeffs[n + i] = -1
+    return canonicalize_constraint(coeffs, "=", 0)
+
+
+def _identity_relation(n: int) -> Polyhedron:
+    return Polyhedron.from_constraints(2 * n, Topology.NNC, [_unchanged(i, n) for i in range(n)])
+
+
 def _interleave_relation(rel: Polyhedron, m: int, n: int) -> Polyhedron:
     """(x, x', y, y') -> (x, y, x', y') for a concatenated relation."""
     perm = [0] * (2 * m + 2 * n)
@@ -302,42 +298,6 @@ def _interleave_relation(rel: Polyhedron, m: int, n: int) -> Polyhedron:
     for i in range(n):
         perm[2 * m + n + i] = 2 * m + n + i  # y' stays last
     return rel.map_dimensions(perm)
-
-
-def _embed_relation_left(rel: Polyhedron, m: int, n: int) -> Polyhedron:
-    """Embed an m-dim relation into (x, y, x', y') with identity on y."""
-    wide = rel.add_dimensions(2 * n)
-    wide = _interleave_relation(wide, m, n)
-    cs = []
-    for i in range(n):
-        coeffs = [0] * (2 * m + 2 * n)
-        coeffs[m + i] = 1
-        coeffs[2 * m + n + i] = -1
-        cs.append(canonicalize_constraint(coeffs, "=", 0))
-    return wide.add_constraints(cs)
-
-
-def _embed_relation_right(rel: Polyhedron, m: int, n: int) -> Polyhedron:
-    """Embed an n-dim relation over the y block with identity on x."""
-    wide = rel.add_dimensions(2 * m)
-    # wide is (y, y', x, x'); permute to (x, y, x', y')
-    perm = [0] * (2 * m + 2 * n)
-    for i in range(n):
-        perm[i] = m + i  # y
-    for i in range(n):
-        perm[n + i] = 2 * m + n + i  # y'
-    for i in range(m):
-        perm[2 * n + i] = i  # x
-    for i in range(m):
-        perm[2 * n + m + i] = m + n + i  # x'
-    wide = wide.map_dimensions(perm)
-    cs = []
-    for i in range(m):
-        coeffs = [0] * (2 * m + 2 * n)
-        coeffs[i] = 1
-        coeffs[m + n + i] = -1
-        cs.append(canonicalize_constraint(coeffs, "=", 0))
-    return wide.add_constraints(cs)
 
 
 def parallel_compose(first: HybridAutomaton, second: HybridAutomaton) -> HybridAutomaton:
@@ -387,7 +347,7 @@ def parallel_compose(first: HybridAutomaton, second: HybridAutomaton) -> HybridA
                         )
                     )
         else:
-            rel = _embed_relation_left(t.relation, m, n)
+            rel = _interleave_relation(t.relation.concatenate(_identity_relation(n)), m, n)
             for b in second.locations:
                 transitions.append(
                     Transition(prod_name(t.source, b.name), t.label, rel, prod_name(t.target, b.name))
@@ -395,7 +355,7 @@ def parallel_compose(first: HybridAutomaton, second: HybridAutomaton) -> HybridA
     for u in second.transitions:
         if u.label is not None and u.label in shared:
             continue  # handled above (or blocked)
-        rel = _embed_relation_right(u.relation, m, n)
+        rel = _interleave_relation(_identity_relation(m).concatenate(u.relation), m, n)
         for a in first.locations:
             transitions.append(
                 Transition(prod_name(a.name, u.source), u.label, rel, prod_name(a.name, u.target))
@@ -428,7 +388,7 @@ class ReachOptions:
     max_iter: int = 64
 
     def __post_init__(self):
-        check_domain_options(self.domain, self.cap)
+        check_domain_options(self.domain, self.cap, self.delay, self.max_iter)
 
 
 @dataclass

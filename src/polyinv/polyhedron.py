@@ -18,12 +18,17 @@ combinatorial saturation test (two rays are adjacent iff no third ray
 saturates a superset of their common saturated rows).  Keeping the
 lineality space explicit is what makes that test sound: the ray cone is
 pointed modulo the lines, so rays are genuine extreme rays and the
-conversion output is minimal.  Conversion is lazy and runs at most
-once per description: a value built from rows converts them to its
-minimal generators and those back to its minimal rows; a value built
+conversion output is minimal.
+
+A value holds one copy of each description.  The one it was built from
+stays as given, unminimized, until emission or widening asks for it
+minimal; the minimal copy then replaces it.  Conversion is lazy and runs
+at most once per description: a value built from rows converts them to
+its minimal generators and those back to its minimal rows; a value built
 from generators converts them to its minimal rows and those to its
-minimal generators.  A description nobody reads is never computed, and
-operations that only rewrite rows never convert to test for emptiness.
+minimal generators.  Every other operation reads whichever copy is
+there, so a description nobody reads is never computed, and operations
+that only rewrite rows never convert to test for emptiness.
 
 Not-necessarily-closed (NNC) polyhedra are embedded as closed polyhedra
 with one extra slack dimension ``eps``: a strict ``<a, x> > b`` becomes
@@ -32,11 +37,17 @@ the encoded set is the projection of the region with ``eps > 0``.
 Points of the embedding with positive slack project to points, points
 with zero slack project to closure points.  All public comparisons of
 NNC values are semantic (mutual inclusion of the encoded sets), never
-comparisons of the internal embedding.  Inclusion reads the encoded
-sets off the minimal descriptions of the embedding: every row with a
-nonzero variable part, its slack coefficient dropped, must hold on
-every generator of the other value, and a strict row (negative slack
-coefficient) must hold strictly on its points (positive slack).
+comparisons of the internal embedding.  Inclusion reads the rows one
+value holds and the generators the other holds, minimal or not, in one
+loop for both topologies: every row with a nonzero variable part, its
+slack coefficient dropped, must hold on every generator of the other
+value, and a strict row (negative slack coefficient) must hold strictly
+on its points (positive slack).  This is exact for any description: a
+generator of the embedding with positive slack projects to a point of
+the set and one with zero slack to a point of its closure, and every
+row, minimal or not, has a slack coefficient of 0 or below (the side
+row ``eps >= 0`` aside), so it reads as one constraint on the set,
+strict when that coefficient is negative.
 Emission reads the integer minimal rows directly: each constraint is a
 row with its slack dropped, divided by the gcd of what is left, and no
 ``Fraction`` is built between the conversion and the printed system.
@@ -320,11 +331,10 @@ class Polyhedron:
         "_topology",
         "_rows",
         "_gens",
-        "_min_rows",
-        "_min_gens",
+        "_raw",
         "_empty",
-        "_nnc_cons",
-        "_nnc_gens",
+        "_out_cons",
+        "_out_gens",
     )
 
     def __init__(self, dim: int, topology: Topology, *, _internal=False):
@@ -334,11 +344,10 @@ class Polyhedron:
         self._topology = topology
         self._rows: tuple[Row, ...] | None = None
         self._gens: tuple[tuple[Vec, ...], tuple[Vec, ...]] | None = None
-        self._min_rows: tuple[Row, ...] | None = None
-        self._min_gens: tuple[tuple[Vec, ...], tuple[Vec, ...]] | None = None
+        self._raw: str | None = None  # "rows" or "gens" while that one is unminimized
         self._empty: bool | None = None
-        self._nnc_cons: tuple[Constraint, ...] | None = None
-        self._nnc_gens: tuple[Generator, ...] | None = None
+        self._out_cons: tuple[Constraint, ...] | None = None
+        self._out_gens: tuple[Generator, ...] | None = None
 
     # -- geometry of the internal representation --------------------------
 
@@ -381,8 +390,8 @@ class Polyhedron:
     @classmethod
     def _from_rep_rows(cls, dim: int, topology: Topology, rows: Iterable[Row]) -> Polyhedron:
         p = cls._make(dim, topology)
-        all_rows = list(rows) + p._side_rows()
-        p._rows = tuple(all_rows)
+        p._rows = (*rows, *p._side_rows())
+        p._raw = "rows"
         return p
 
     @classmethod
@@ -394,9 +403,8 @@ class Polyhedron:
         rays: Iterable[Vec],
     ) -> Polyhedron:
         p = cls._make(dim, topology)
-        lines = tuple(lines)
-        rays = tuple(rays)
-        p._gens = (lines, rays)
+        p._gens = (tuple(lines), tuple(rays))
+        p._raw = "gens"
         p._empty = p._is_empty_gens(p._gens)
         return p
 
@@ -482,14 +490,10 @@ class Polyhedron:
     # -- lazy descriptions -------------------------------------------------
 
     def _rows_any(self) -> tuple[Row, ...]:
-        if self._rows is None:
-            self._rows = self._minimal_rows()
-        return self._rows
+        return self._rows if self._rows is not None else self._minimal_rows()
 
     def _gens_any(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        if self._gens is None:
-            self._gens = self._minimal_gens()
-        return self._gens
+        return self._gens if self._gens is not None else self._minimal_gens()
 
     def _forward(self, rows: Sequence[Row]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         ordered = (
@@ -508,19 +512,23 @@ class Polyhedron:
         return not any(r[0] > 0 and r[e] > 0 for r in rays)
 
     def _minimal_gens(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        if self._min_gens is None:
+        if self._gens is None or self._raw == "gens":
             gens = ((), ()) if self._empty else self._forward(self._rows_any())
             self._empty = self._is_empty_gens(gens)
-            self._min_gens = ((), ()) if self._empty else gens
-        return self._min_gens
+            self._gens = ((), ()) if self._empty else gens
+            if self._raw == "gens":
+                self._raw = None
+        return self._gens
 
     def _minimal_rows(self) -> tuple[Row, ...]:
-        if self._min_rows is None:
+        if self._rows is None or self._raw == "rows":
             if self.is_empty():
-                self._min_rows = ((tuple([-1] + [0] * self._rep_dim), False),)  # 0 >= 1
+                self._rows = ((tuple([-1] + [0] * self._rep_dim), False),)  # 0 >= 1
             else:
-                self._min_rows = tuple(_dual_rows(self._hom_dim, *self._gens_any()))
-        return self._min_rows
+                self._rows = tuple(_dual_rows(self._hom_dim, *self._gens_any()))
+            if self._raw == "rows":
+                self._raw = None
+        return self._rows
 
     # -- predicates ----------------------------------------------------------
 
@@ -556,47 +564,42 @@ class Polyhedron:
                 f"topology mismatch: {self._topology.value} vs {other._topology.value}"
             )
 
-    def _rep_contains(self, other: Polyhedron) -> bool:
-        """Inclusion of the internal closed representations."""
+    def _holds_on(self, other: Polyhedron, eps: int | None) -> bool:
+        """Every row of self holds on every generator of other.
+
+        Given the slack column ``eps``, a row with no variable part is
+        skipped, the slack coefficient is dropped, and a strict row must
+        hold strictly on each point.
+        """
         if other.is_empty():
             return True
         if self.is_empty():
             return False
-        rows = self._rows_any()
         lines, rays = other._gens_any()
-        for vec, is_eq in rows:
+        for vec, is_eq in self._rows_any():
+            strict = False
+            if eps is not None:
+                if not any(vec[1:eps]):
+                    continue  # side rows and other pure-slack rows
+                strict = vec[eps] < 0
+                vec = vec[:eps]
             for l in lines:
-                if _dot(vec, l) != 0:
+                if _dot(vec, l):
                     return False
             for r in rays:
                 v = _dot(vec, r)
-                if v < 0 or (is_eq and v != 0):
+                if v < 0 or (v != 0 and is_eq) or (strict and v == 0 and r[0] > 0 and r[eps] > 0):
                     return False
         return True
+
+    def _rep_contains(self, other: Polyhedron) -> bool:
+        """Inclusion of the internal closed representations."""
+        return self._holds_on(other, None)
 
     def contains(self, other: Polyhedron) -> bool:
         """Set inclusion: other is a subset of self."""
         self._check_compatible(other)
-        if other.is_empty():
-            return True
-        if self.is_empty():
-            return False
-        if self._topology is Topology.CLOSED:
-            return self._rep_contains(other)
-        lines, rays = other._minimal_gens()
-        e = self._eps_col()
-        for vec, is_eq in self._minimal_rows():
-            if not any(vec[1:e]):
-                continue  # side rows and other pure-slack facets
-            a = vec[:e]  # the slack coefficient only says whether the row is strict
-            if any(_dot(a, l) for l in lines):
-                return False
-            strict = vec[e] < 0
-            for r in rays:
-                v = _dot(a, r)
-                if v < 0 or (v != 0 and is_eq) or (v == 0 and strict and r[0] > 0 and r[e] > 0):
-                    return False
-        return True
+        return self._holds_on(other, self._eps_col() if self._topology is Topology.NNC else None)
 
     def equals(self, other: Polyhedron) -> bool:
         return self.contains(other) and other.contains(self)
@@ -604,11 +607,11 @@ class Polyhedron:
     # -- emission ------------------------------------------------------------
 
     def minimized_constraints(self) -> tuple[Constraint, ...]:
-        if self._nnc_cons is not None:
-            return self._nnc_cons
+        if self._out_cons is not None:
+            return self._out_cons
         if self.is_empty():
             out = (Constraint((0,) * self._dim, 1, Rel.GE),)
-            self._nnc_cons = out
+            self._out_cons = out
             return out
         n = self._dim
         nnc = self._topology is Topology.NNC
@@ -634,13 +637,13 @@ class Polyhedron:
             if prev is None or _TWIN_ORDER[rel] < _TWIN_ORDER[prev.rel]:
                 seen[coeffs, rhs] = Constraint(coeffs, rhs, rel)
         out = tuple(sorted(seen.values(), key=Constraint.sort_key))
-        self._nnc_cons = out
+        self._out_cons = out
         return out
 
     def minimized_generators(self) -> tuple[Generator, ...]:
-        if self._nnc_gens is None:
-            self._nnc_gens = () if self.is_empty() else tuple(self._emitted_gens())
-        return self._nnc_gens
+        if self._out_gens is None:
+            self._out_gens = () if self.is_empty() else tuple(self._emitted_gens())
+        return self._out_gens
 
     def _emitted_gens(self) -> list[Generator]:
         """The minimal generators, lines split into opposite rays, sorted.
@@ -974,20 +977,16 @@ class Polyhedron:
         new_dim = self._dim - len(drop)
         if self.is_empty():
             return Polyhedron.empty(new_dim, self._topology)
-        cols = [0] + [1 + i for i in range(self._dim) if i not in set(drop)]
+        cols = [0] + [1 + i for i in range(self._dim) if i not in drop]
         if self._topology is Topology.NNC:
             cols.append(self._eps_col())
+
+        def project(v: Vec) -> Vec | None:
+            return _norm([v[c] for c in cols])
+
         lines, rays = self._gens_any()
-        new_lines = []
-        for l in lines:
-            v = _norm([l[c] for c in cols])
-            if v is not None:
-                new_lines.append(v)
-        new_rays = []
-        for r in rays:
-            v = _norm([r[c] for c in cols])
-            if v is not None:
-                new_rays.append(v)
+        new_lines = [w for w in map(project, lines) if w is not None]
+        new_rays = [w for w in map(project, rays) if w is not None]
         return Polyhedron._from_rep_gens(new_dim, self._topology, new_lines, new_rays)
 
     def map_dimensions(self, perm: Sequence[int]) -> Polyhedron:
@@ -1004,7 +1003,7 @@ class Polyhedron:
         def remap(vec: Vec) -> Vec:
             return tuple(vec[c] for c in cols)
 
-        if self._rows is not None or self._min_rows is not None:
+        if self._rows is not None:
             rows = [(remap(v), eq) for v, eq in self._rows_any()]
             return Polyhedron._from_rep_rows(self._dim, self._topology, rows)
         lines, rays = self._gens_any()
@@ -1043,7 +1042,7 @@ class Polyhedron:
             raise DimensionError(f"dimension {k} out of range")
         if self.is_empty():
             raise ValueError("dim_bounds on an empty polyhedron")
-        lines, rays = self._minimal_gens()
+        lines, rays = self._gens_any()
         col = 1 + k
         lo: Fraction | None = None
         hi: Fraction | None = None

@@ -101,6 +101,10 @@ class TestAnalyze:
         code, out, err = run_cli("analyze", loop_path, "--cap", "0")
         assert (code, out) == (1, "") and err.startswith("error: ")
 
+    def test_negative_delay_is_input_error(self, loop_path):
+        code, out, err = run_cli("analyze", loop_path, "--delay", "-2")
+        assert (code, out, err) == (1, "", "error: widening delay must not be negative\n")
+
     @pytest.mark.parametrize("failure", [AnalysisError, ArithmeticError])
     def test_engine_failure_exit_code(self, loop_path, monkeypatch, failure):
         def fail(*args):
@@ -164,6 +168,19 @@ class TestReach:
     def test_invalid_cap_is_input_error(self, scheduler_path):
         code, out, err = run_cli("reach", scheduler_path, "--domain", "powerset", "--cap", "0")
         assert (code, out) == (1, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "option, error",
+        [
+            (("--max-iter", "0"), "iteration bound must be at least 1"),
+            (("--max-iter", "-3"), "iteration bound must be at least 1"),
+            (("--delay", "-2"), "widening delay must not be negative"),
+        ],
+        ids=["max-iter-0", "max-iter-negative", "delay-negative"],
+    )
+    def test_invalid_iteration_option_is_input_error(self, water_path, option, error):
+        code, out, err = run_cli("reach", water_path, *option)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
 
     def test_scheduler_projection(self, scheduler_path):
         code, out, _ = run_cli("reach", scheduler_path, "--project", "k1,k2")

@@ -1,11 +1,15 @@
 """Hybrid automata: parsing, composition, location updates, reachability."""
 
+import io
 import random
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from polyinv import hybrid
+from polyinv.cli import main
 from polyinv.hybrid import (
     HybridAutomaton,
     NonConvergenceError,
@@ -26,6 +30,14 @@ def nnc(text, names, extra_dims=0):
     idx = {v: i for i, v in enumerate(names)}
     n = len(names) + extra_dims
     return Polyhedron.from_constraints(n, Topology.NNC, parse_constraints(text, idx, n))
+
+
+def cycle_text(n: int) -> str:
+    """A cycle l0 -> l1 -> ... -> l0 of n locations, all of them at x = 0."""
+    locations = ["location l0 { rate: dx = 0; init: x = 0; }\n"]
+    locations += [f"location l{i} {{ rate: dx = 0; }}\n" for i in range(1, n)]
+    transitions = [f"transition l{i} -> l{(i + 1) % n} {{ }}\n" for i in range(n)]
+    return "vars x;\n" + "".join(locations + transitions)
 
 
 class TestParsing:
@@ -320,6 +332,49 @@ class TestReach:
         assert w and h._is_cutset(w)
         res = reach(h)
         assert res.converged
+
+    @pytest.mark.parametrize(
+        "name, widen_set",
+        [
+            ("water.lha", {"l0"}),
+            ("fischer.lha", {"l0"}),
+            ("scheduler.lha", {"Idle", "Task1", "Task2"}),
+            ("task.lha", {"Idle", "Task1", "Task2"}),
+            ("interrupt.lha", {"Intpt"}),
+        ],
+    )
+    def test_default_widen_set_of_shipped_models(self, name, widen_set):
+        assert parse_automaton(example_text(name)).default_widen_set() == widen_set
+
+    @pytest.mark.parametrize("first", ["b", "c"])
+    def test_default_widen_set_follows_transition_order(self, first):
+        # b and c form a cycle entered from a; the one a reaches first is cut
+        second = "c" if first == "b" else "b"
+        h = parse_automaton(
+            "vars x;\n"
+            "location a { rate: dx = 0; init: x = 0; }\n"
+            "location b { rate: dx = 0; }\nlocation c { rate: dx = 0; }\n"
+            f"transition a -> {first} {{ }}\ntransition a -> {second} {{ }}\n"
+            "transition b -> c { }\ntransition c -> b { }\n"
+        )
+        assert h.default_widen_set() == {first}
+
+    def test_long_cycle_validates_without_recursion(self):
+        h = parse_automaton(cycle_text(1500) + "widen: l7;\n")
+        assert h.validate() == []
+        assert not h._is_cutset(frozenset())
+        assert h.default_widen_set() == {"l0"}
+
+    def test_long_cycle_reaches_through_the_command_line(self, tmp_path):
+        path = tmp_path / "cycle.lha"
+        path.write_text(cycle_text(1500))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["reach", str(path)]) == 0
+        assert time.perf_counter() - start < 20
+        assert err.getvalue() == ""
+        assert out.getvalue().splitlines()[-2:] == ["l1499: {x=0}", "# converged in 2 sweeps"]
 
     def test_monotone_sweeps_before_widening(self):
         h = parse_automaton(example_text("water.lha"))

@@ -155,6 +155,15 @@ class TestLazyConversion:
         assert ("dual", 5) not in conversions  # ... and never dual-converted
         assert image.equals(poly("w>=2, w<=11, x=0", index=WX))
 
+    def test_minimizing_replaces_the_built_rows(self, conversions):
+        p = poly("x0>=0, x0<=2, x0<=3, x1=1")
+        assert len(p._rows_any()) == 4  # the rows it was built from
+        p.minimized_constraints()
+        assert self.taken(conversions, "dual") == 1
+        rows = p._rows_any()
+        assert rows is p._minimal_rows() and len(rows) == 3  # one system, minimal
+        assert self.taken(conversions) == 0
+
     def test_nnc_contains_emits_nothing(self, conversions, monkeypatch):
         def fresh_pairs():  # new values each time, so both runs start unconverted
             def nnc(text):
@@ -171,8 +180,7 @@ class TestLazyConversion:
                 out.append((contains(p, q), list(conversions)))
             return out
 
-        # the emission-based test reads the same descriptions in the same order
-        expected = run(semantic_contains)
+        reference = run(semantic_contains)
         emitted = []
         canonicalize, point = polyhedron.canonicalize_constraint, Generator.point
 
@@ -187,10 +195,18 @@ class TestLazyConversion:
         monkeypatch.setattr(polyhedron, "canonicalize_constraint", counting_canonicalize)
         monkeypatch.setattr(Generator, "point", staticmethod(counting_point))
         got = run(Polyhedron.contains)
-        assert got == expected
+        assert [answer for answer, _ in got] == [answer for answer, _ in reference]
         assert [answer for answer, _ in got] == [True, False, True, False, True]
-        assert ("dual", 4) in got[0][1]  # the conversions are counted at all
         assert emitted == []
+        # it reads the descriptions the values hold, converting no more than emission
+        for (_, calls), (_, ref_calls) in zip(got, reference):
+            assert len(calls) <= len(ref_calls)
+        # a row-built self is never dual-converted ...
+        assert all(("dual", 4) not in calls for _, calls in (got[0], got[1], got[3]))
+        # ... and the hull, built from generators, is never converted as other;
+        # building it already decided that a is not empty, so nothing runs
+        assert got[3][1] == []
+        assert ("dual", 4) in reference[0][1]  # the conversions are counted at all
 
 
 class TestPredicates:
@@ -414,6 +430,19 @@ class TestDimBounds:
     def test_bounds_of_point(self):
         p = poly("x0=1, x1=1")
         assert p.dim_bounds(0) == (1, 1)
+
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+    def test_bounds_of_hull_with_interior_points(self, topology, conversions):
+        corner = Generator.closure_point if topology is Topology.NNC else Generator.point
+        inner = Generator.point([Fraction(1, 2), Fraction(1, 2)])
+        a = Polyhedron.from_generators(2, topology, [Generator.point([0, 0]), inner])
+        b = Polyhedron.from_generators(
+            2, topology, [Generator.point([2, 0]), corner([0, 3]), Generator.point([1, 1])]
+        )
+        hull = a.poly_hull(b)  # the interior points stay among its generators
+        assert hull.dim_bounds(0) == (0, 2)
+        assert hull.dim_bounds(1) == (0, 3)  # the closure bound when the corner is open
+        assert conversions == []  # read off the generators it was built from
 
 
 def test_coefficient_bit_limit_fails_loudly():
