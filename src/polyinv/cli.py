@@ -26,8 +26,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import imp
-from .analyzer import AbstractStore, AnalysisError, AnalysisOptions, analyze
-from .hybrid import NonConvergenceError, ReachOptions, parse_automaton, reach
+from .analyzer import AbstractStore, AnalysisError, AnalysisOptions, AnalysisResult, analyze
+from .hybrid import (
+    HybridAutomaton, NonConvergenceError, ReachOptions, ReachResult, parse_automaton, reach,
+)
 from .linalg import format_generator
 from .parse import (
     ParseError, Token, Tokens, constraint_list, linear_expr, parse_constraints, relation_index,
@@ -57,11 +59,21 @@ def cmd_analyze(args) -> int:
         return _input_error(e)
     try:
         result = analyze(program, initial, opts)
+        lines = _store_lines(program, result, args.format == "records")
     except (AnalysisError, ArithmeticError) as e:
-        print(f"engine error: {e}", file=sys.stderr)
-        return EXIT_ENGINE_ERROR
+        return _engine_error(e)
+    for line in lines:
+        print(line)
+    return 0
 
+
+def _store_lines(program: imp.Program, result: AnalysisResult, records: bool) -> list[str]:
+    """The printed lines of the stores at each program point and at the exit.
+
+    Rendering converts, so it can hit the coefficient limit like the engine.
+    """
     by_pid = {s.pid: s for s in program.statements()}
+    lines = []
     for pid in sorted(by_pid):
         if pid not in result.entries:
             continue
@@ -69,16 +81,13 @@ def cmd_analyze(args) -> int:
         store = result.entries[pid]
         tag = " [loop]" if pid in result.loop_invariants else ""
         rendered = store.pretty()
-        if args.format == "records":
-            print(f"point\t{pid}\t{rendered}")
+        if records:
+            lines.append(f"point\t{pid}\t{rendered}")
         else:
-            print(f"point {pid} ({stmt.line}:{stmt.col}){tag}: {rendered}")
+            lines.append(f"point {pid} ({stmt.line}:{stmt.col}){tag}: {rendered}")
     rendered = result.exit_store.pretty()
-    if args.format == "records":
-        print(f"exit\t-\t{rendered}")
-    else:
-        print(f"exit: {rendered}")
-    return 0
+    lines.append(f"exit\t-\t{rendered}" if records else f"exit: {rendered}")
+    return lines
 
 
 def _read(path: str) -> str:
@@ -92,6 +101,12 @@ def _read(path: str) -> str:
 def _input_error(e: ValueError) -> int:
     print(f"error: {e}", file=sys.stderr)
     return EXIT_INPUT_ERROR
+
+
+def _engine_error(e: Exception) -> int:
+    """Report an engine that gave up, such as on the coefficient limit."""
+    print(f"engine error: {e}", file=sys.stderr)
+    return EXIT_ENGINE_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +128,36 @@ def cmd_reach(args) -> int:
         return _input_error(e)
     try:
         result = reach(automaton, opts)
+        lines = _region_lines(automaton, result, wanted, args.format == "records")
     except NonConvergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except ArithmeticError as e:
+        return _engine_error(e)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    for line in lines:
+        print(line)
+    return 0
 
+
+def _region_lines(
+    automaton: HybridAutomaton, result: ReachResult, wanted: list[str], records: bool
+) -> list[str]:
+    """The printed lines of the reached regions, projected onto `wanted`.
+
+    Rendering converts, so it can hit the coefficient limit like the engine.
+    """
+    names = list(automaton.variables)
     kept_names = [v for v in names if v in wanted]
     dropped = [i for i, v in enumerate(names) if v not in wanted]
+    lines = []
 
     def proj(p: Polyhedron) -> str:
         return p.remove_dimensions(dropped).constraints_pretty(kept_names)
 
     def emit(key: str, label: str, rendered: str) -> None:
-        records = args.format == "records"
-        print(f"location\t{key}\t{rendered}" if records else f"{label}: {rendered}")
+        lines.append(f"location\t{key}\t{rendered}" if records else f"{label}: {rendered}")
 
     for loc in automaton.locations:
         region = result.regions[loc.name]
@@ -137,9 +167,9 @@ def cmd_reach(args) -> int:
             emit(loc.name, f"{loc.name} hull", proj(region.collapse()))
         else:
             emit(loc.name, loc.name, proj(region))
-    if args.format != "records":
-        print(f"# converged in {result.iterations} sweeps")
-    return 0
+    if not records:
+        lines.append(f"# converged in {result.iterations} sweeps")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +364,8 @@ def cmd_poly(args) -> int:
             print(line)
     except ValueError as e:
         return _input_error(e)
+    except ArithmeticError as e:
+        return _engine_error(e)
     return 0
 
 

@@ -28,7 +28,9 @@ its minimal generators and those back to its minimal rows; a value built
 from generators converts them to its minimal rows and those to its
 minimal generators.  Every other operation reads whichever copy is
 there, so a description nobody reads is never computed, and operations
-that only rewrite rows never convert to test for emptiness.
+that only rewrite rows never convert to test for emptiness.  A row
+system holds each row once, the first copy kept, and an intersection
+that adds no row to an operand returns that operand, generators and all.
 
 Not-necessarily-closed (NNC) polyhedra are embedded as closed polyhedra
 with one extra slack dimension ``eps``: a strict ``<a, x> > b`` becomes
@@ -135,6 +137,13 @@ def _combine(ta: int, a: Vec, tb: int, b: Vec) -> Vec | None:
 @cache
 def _units(dim: int) -> tuple[Vec, ...]:
     return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
+
+
+@cache
+def _side_rows(hom_dim: int) -> tuple[Row, ...]:
+    """The NNC side rows ``eps >= 0`` and ``eps <= 1``, eps the last column."""
+    units = _units(hom_dim)
+    return (units[-1], False), (tuple(map(sub, units[0], units[-1])), False)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +383,6 @@ class Polyhedron:
     def _eps_col(self) -> int:
         return self._hom_dim - 1
 
-    def _side_rows(self) -> list[Row]:
-        if self._topology is Topology.CLOSED:
-            return []
-        units = _units(self._hom_dim)
-        low, high = units[-1], tuple(map(sub, units[0], units[-1]))  # eps >= 0, eps <= 1
-        return [(low, False), (high, False)]
-
     # -- builders ----------------------------------------------------------
 
     @classmethod
@@ -390,7 +392,8 @@ class Polyhedron:
     @classmethod
     def _from_rep_rows(cls, dim: int, topology: Topology, rows: Iterable[Row]) -> Polyhedron:
         p = cls._make(dim, topology)
-        p._rows = (*rows, *p._side_rows())
+        side = _side_rows(p._hom_dim) if topology is Topology.NNC else ()
+        p._rows = tuple(dict.fromkeys((*rows, *side)))  # each row once, first copy kept
         p._raw = "rows"
         return p
 
@@ -699,9 +702,12 @@ class Polyhedron:
         self._check_compatible(other)
         if self._empty or other._empty:
             return Polyhedron.empty(self._dim, self._topology)
-        return Polyhedron._from_rep_rows(
-            self._dim, self._topology, self._rows_any() + other._rows_any()
-        )
+        mine, theirs = self._rows_any(), other._rows_any()
+        if set(mine).issuperset(theirs):  # adds no row: the same set, its generators kept
+            return self
+        if set(theirs).issuperset(mine):
+            return other
+        return Polyhedron._from_rep_rows(self._dim, self._topology, mine + theirs)
 
     def add_constraints(self, constraints: Iterable[Constraint]) -> Polyhedron:
         extra = Polyhedron.from_constraints(self._dim, self._topology, constraints)
@@ -877,10 +883,10 @@ class Polyhedron:
         matrix = tuple(
             tuple(-x * (den // v[c]) for x in v[: n + 1]) for c, v in zip(primed, solving)
         )
-        side = self._side_rows()
+        # an NNC side row maps to the same side row of the guard, kept once
         for vec, is_eq in rows:
-            if is_eq or (vec, is_eq) in side:
-                continue  # the guard's builder adds its own side rows
+            if is_eq:
+                continue
             head = [den * x for x in vec[: n + 1]]
             for q, row in zip(vec[n + 1 : 2 * n + 1], matrix):
                 if q:
@@ -1114,5 +1120,4 @@ def standard_widening(older: Polyhedron, newer: Polyhedron) -> Polyhedron:
 
     p_sats = set(map(saturation, p_rows))
     kept += [v for v in exchangeable(newer._minimal_rows()) if saturation(v) in p_sats]
-    rows = [(v, False) for v in dict.fromkeys(kept)]
-    return Polyhedron._from_rep_rows(older.dim, older.topology, rows)
+    return Polyhedron._from_rep_rows(older.dim, older.topology, [(v, False) for v in kept])

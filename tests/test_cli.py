@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from polyinv import cli
+from polyinv import cli, polyhedron
 from polyinv.analyzer import AnalysisError
 from polyinv.cli import main
 from polyinv.parse import parse_constraints
@@ -114,6 +114,14 @@ class TestAnalyze:
         code, _, err = run_cli("analyze", loop_path)
         assert code == 2 and err.startswith("engine error: ")
 
+    def test_coefficient_limit_while_rendering_is_an_engine_error(self, tmp_path, monkeypatch):
+        # the analysis stays within 4 bits, the exit store's emission does not
+        p = tmp_path / "square.imp"
+        p.write_text("vars a, b, c;\na := ((b - -1) * (b + 3))")
+        monkeypatch.setattr(polyhedron, "_MAX_BITS", 4)
+        code, out, err = run_cli("analyze", str(p), "--assume", "a=-2, b>=-3, b<=0, c>=-4, c<=-3")
+        assert (code, out, err) == (2, "", "engine error: coefficient exceeds POLYINV_MAX_BITS=4\n")
+
     def test_engine_bug_is_not_hidden(self, loop_path, monkeypatch):
         def bug(*args):
             raise KeyError("x9")
@@ -181,6 +189,35 @@ class TestReach:
     def test_invalid_iteration_option_is_input_error(self, water_path, option, error):
         code, out, err = run_cli("reach", water_path, *option)
         assert (code, out, err) == (1, "", f"error: {error}\n")
+
+    def test_engine_failure_exit_code(self, water_path, monkeypatch):
+        def fail(*args):
+            raise ArithmeticError("limit exceeded")
+
+        monkeypatch.setattr(cli, "reach", fail)
+        assert run_cli("reach", water_path) == (2, "", "engine error: limit exceeded\n")
+
+    def test_engine_bug_is_not_hidden(self, water_path, monkeypatch):
+        def bug(*args):
+            raise KeyError("l9")
+
+        monkeypatch.setattr(cli, "reach", bug)
+        with pytest.raises(KeyError):
+            run_cli("reach", water_path)
+
+    @pytest.mark.parametrize(
+        "bits, options",
+        [(3, ()), (5, ("--domain", "powerset", "--delay", "2"))],
+        ids=["engine", "rendering"],
+    )
+    def test_coefficient_limit_is_an_engine_error(
+        self, scheduler_path, monkeypatch, bits, options
+    ):
+        # at 5 bits the powerset run converges and its hull's emission overflows
+        monkeypatch.setattr(polyhedron, "_MAX_BITS", bits)
+        code, out, err = run_cli("reach", scheduler_path, *options)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"engine error: coefficient exceeds POLYINV_MAX_BITS={bits}\n")
 
     def test_scheduler_projection(self, scheduler_path):
         code, out, _ = run_cli("reach", scheduler_path, "--project", "k1,k2")
@@ -326,6 +363,21 @@ class TestPolyCalculator:
         # x' is dimension 2 of the 4-dimensional relation, though only x has a name
         script = "vars x;\na = embed({x>=0}, 1);\nprint equals(relimage(a, {x' = x}), a);\n"
         assert self.run_script(tmp_path, script) == (0, "true\n", "")
+
+    def test_engine_failure_exit_code(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise ArithmeticError("limit exceeded")
+
+        monkeypatch.setitem(cli._OPERATIONS, "hull", (("poly",), fail))
+        script = "vars x;\nprint {x>=0};\nprint hull({x>=0}, {x<=0});\n"
+        assert self.run_script(tmp_path, script) == (2, "{x>=0}\n", "engine error: limit exceeded\n")
+
+    def test_coefficient_limit_is_an_engine_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(polyhedron, "_MAX_BITS", 3)
+        script = "vars x, y;\nprint hull({x>=0, y>=0, 3*x+5*y<=7}, {x>=7, y>=9, 7*x-11*y<=13});\n"
+        assert self.run_script(tmp_path, script) == (
+            2, "", "engine error: coefficient exceeds POLYINV_MAX_BITS=3\n"
+        )
 
     def test_lines_before_a_failing_statement_are_printed(self, tmp_path):
         script = "vars x;\na = {x>=0};\nprint contains_point(a, 1/2);\nprint nonsense(a);\n"

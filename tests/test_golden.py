@@ -1,0 +1,42 @@
+"""The exact stdout of the CLI on the shipped examples.
+
+Each file in ``tests/golden/`` holds the bytes one command printed when it
+was recorded; kernel changes that claim to keep the output must keep them.
+Rerecord a file only for a change that means to alter that output.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from polyinv.cli import main
+
+from .paths import example_text
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "reach-water": ("reach", "water.lha"),
+    "reach-fischer": ("reach", "fischer.lha"),
+    "reach-scheduler": ("reach", "scheduler.lha"),
+    "reach-scheduler-powerset": ("reach", "scheduler.lha", "--domain", "powerset", "--delay", "2"),
+    "reach-scheduler-records": (
+        "reach", "scheduler.lha", "--format", "records", "--project", "k1,k2",
+    ),
+    "analyze-countdown": ("analyze", "countdown.imp"),
+    "analyze-countdown-assume": ("analyze", "countdown.imp", "--assume", "x0>=1, x1=1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_is_the_recorded_bytes(name, tmp_path):
+    command, example, *options = CASES[name]
+    path = tmp_path / example
+    path.write_text(example_text(example))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main([command, str(path), *options])
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / f"{name}.out").read_bytes()
