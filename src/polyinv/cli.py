@@ -91,9 +91,10 @@ def _store_lines(program: imp.Program, result: AnalysisResult, records: bool) ->
 
 
 def _read(path: str) -> str:
-    """The text of the file at `path`; one that cannot be read is a ValueError."""
+    """The UTF-8 text of the file at `path`; one that cannot be read is a ValueError."""
     try:
-        return open(path).read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
         raise ValueError(e) from None
 

@@ -36,6 +36,15 @@ Not-necessarily-closed (NNC) polyhedra are embedded as closed polyhedra
 with one extra slack dimension ``eps``: a strict ``<a, x> > b`` becomes
 ``<a, x> - eps >= b`` under the side constraints ``0 <= eps <= 1``, and
 the encoded set is the projection of the region with ``eps > 0``.
+Every vector, row or generator, is laid out as ``(xi0, x_1..x_n, *tail)``,
+the tail ``()`` for closed values and ``(eps,)`` for NNC ones, so a change
+of dimensions rewrites ``v[:1 + n]`` and carries ``v[1 + n:]`` along
+whatever the topology.  Adding dimensions is concatenation with a
+universe, which pads rows.  Every image and projection (affine images,
+compiled affine maps, bounded images, removing and permuting dimensions
+of a value held by generators) is one generator map, ``_mapped``: each
+held line and ray goes through the operation's vector function, is
+normalized, and the zero vectors are dropped.
 Points of the embedding with positive slack project to points, points
 with zero slack project to closure points.  All public comparisons of
 NNC values are semantic (mutual inclusion of the encoded sets), never
@@ -76,7 +85,6 @@ from .linalg import (
     Generator,
     LinExpr,
     Rel,
-    canonicalize_constraint,
     format_constraint,
     scale_to_integers,
 )
@@ -137,6 +145,11 @@ def _combine(ta: int, a: Vec, tb: int, b: Vec) -> Vec | None:
 @cache
 def _units(dim: int) -> tuple[Vec, ...]:
     return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
+
+
+def _columns(cols: Sequence[int], cut: int) -> Callable[[Vec], Vec]:
+    """The map picking columns ``cols`` of a vector, then its tail from ``cut``."""
+    return lambda v: tuple([v[c] for c in cols]) + v[cut:]
 
 
 @cache
@@ -445,12 +458,8 @@ class Polyhedron:
 
     @staticmethod
     def _encode_constraint(c: Constraint, dim: int, topology: Topology) -> Row:
-        if topology is Topology.CLOSED:
-            vec = (-c.rhs, *c.coeffs)
-        else:
-            eps = -1 if c.rel is Rel.GT else 0
-            vec = (-c.rhs, *c.coeffs, eps)
-        return (vec, c.rel is Rel.EQ)
+        tail = () if topology is Topology.CLOSED else (-1 if c.rel is Rel.GT else 0,)
+        return ((-c.rhs, *c.coeffs, *tail), c.rel is Rel.EQ)
 
     @classmethod
     def from_generators(
@@ -471,23 +480,15 @@ class Polyhedron:
             return cls.empty(dim, topology)
         if not any(g.kind is GenKind.POINT for g in gens):
             raise GeneratorSystemError("a nonempty generator system needs at least one point")
+        nnc = topology is Topology.NNC
         rays: list[Vec] = []
-        for g in gens:
-            if topology is Topology.CLOSED:
-                rays.append((g.divisor, *g.coeffs))
-            else:
-                if g.kind is GenKind.POINT:
-                    rays.append((g.divisor, *g.coeffs, g.divisor))
-                    rays.append((g.divisor, *g.coeffs, 0))  # keep the embedding eps-downward closed
-                elif g.kind is GenKind.CLOSURE_POINT:
-                    rays.append((g.divisor, *g.coeffs, 0))
-                else:
-                    rays.append((0, *g.coeffs, 0))
-        normed = []
-        for r in rays:
-            v = _norm(r)
-            if v is not None:
-                normed.append(v)
+        for g in gens:  # (divisor, coeffs): a ray's divisor is 0
+            if nnc and g.kind is GenKind.POINT:
+                rays.append((g.divisor, *g.coeffs, g.divisor))
+            # with eps = 0: closure points, rays, and each point's twin, which
+            # keeps the embedding eps-downward closed
+            rays.append((g.divisor, *g.coeffs, *(0,) * nnc))
+        normed = [v for v in map(_norm, rays) if v is not None]
         return cls._from_rep_gens(dim, topology, [], normed)
 
     # -- lazy descriptions -------------------------------------------------
@@ -746,6 +747,18 @@ class Polyhedron:
 
     # -- images ------------------------------------------------------------------
 
+    def _mapped(self, dim: int, image: Callable[[Vec], Sequence[int]]) -> Polyhedron:
+        """The value of dimension ``dim`` generated by the images of self's generators.
+
+        ``image`` maps a vector ``(xi0, x_1..x_n, *tail)`` of self to one
+        of the result, ``(xi0', x'_1..x'_dim, *tail')`` with a tail as
+        long; its results are normalized and the zero vectors dropped.
+        """
+        lines, rays = self._gens_any()
+        new_lines = [w for w in map(_norm, map(image, lines)) if w is not None]
+        new_rays = [w for w in map(_norm, map(image, rays)) if w is not None]
+        return Polyhedron._from_rep_gens(dim, self._topology, new_lines, new_rays)
+
     def _integerize_expr(self, expr: LinExpr) -> tuple[tuple[int, ...], int, int]:
         if expr.dim != self._dim:
             raise DimensionError(f"expression of dimension {expr.dim}, expected {self._dim}")
@@ -757,20 +770,14 @@ class Polyhedron:
         if not 0 <= k < self._dim:
             raise DimensionError(f"dimension {k} out of range")
         coeffs, const, mult = self._integerize_expr(expr)
-        if self.is_empty():
-            return self
-        col = 1 + k
+        row = (const, *coeffs)
 
-        def tr(vec: Vec) -> Vec | None:
-            newk = sum(a * vec[1 + i] for i, a in enumerate(coeffs)) + const * vec[0]
+        def image(vec: Vec) -> list[int]:
             out = [mult * x for x in vec]
-            out[col] = newk
-            return _norm(out)
+            out[1 + k] = _dot(row, vec)
+            return out
 
-        lines, rays = self._gens_any()
-        new_lines = [v for v in (tr(l) for l in lines) if v is not None]
-        new_rays = [v for v in (tr(r) for r in rays) if v is not None]
-        return Polyhedron._from_rep_gens(self._dim, self._topology, new_lines, new_rays)
+        return self._mapped(self._dim, image)
 
     def affine_preimage(self, k: int, expr: LinExpr) -> Polyhedron:
         """Exact preimage of the single-update map ``x_k := expr(x)``."""
@@ -799,28 +806,26 @@ class Polyhedron:
     def bounded_affine_image(
         self, k: int, lo: LinExpr | None, hi: LinExpr | None
     ) -> Polyhedron:
-        """Exact image of ``lo(x) <= x_k' <= hi(x)`` (identity elsewhere)."""
+        """Exact image of ``lo(x) <= x_k' <= hi(x)`` (identity elsewhere).
+
+        A fresh last dimension w is bounded by ``lo`` and ``hi``; one
+        projection then drops x_k and moves w into slot k.
+        """
         if not 0 <= k < self._dim:
             raise DimensionError(f"dimension {k} out of range")
+        bounds = [(s, self._integerize_expr(e)) for s, e in ((1, lo), (-1, hi)) if e is not None]
         if self.is_empty():
             return self
         n = self._dim
-        q = self.add_dimensions(1)  # a fresh trailing dimension holds the new value
-        cs = []
-        if lo is not None:
-            coeffs = list(lo.coeffs) + [Fraction(-1)]
-            cs.append(canonicalize_constraint(coeffs, "<=", -lo.const))
-        if hi is not None:
-            coeffs = list(hi.coeffs) + [Fraction(-1)]
-            cs.append(canonicalize_constraint(coeffs, ">=", -hi.const))
-        q = q.add_constraints(cs)
-        q = q.remove_dimensions([k])
-        # dims are now [0..k-1, k+1..n-1, w]; move w back into slot k
-        perm = []
-        for i in range(n - 1):
-            perm.append(i if i < k else i + 1)
-        perm.append(k)
-        return q.map_dimensions(perm)
+        tail = (0,) * (self._rep_dim - n)
+        # s * (mult * w - <coeffs, x> - const) >= 0: w >= lo(x) for s = 1, w <= hi(x) for -1
+        rows = [
+            (_norm((-s * const, *(-s * a for a in coeffs), s * mult, *tail)), False)
+            for s, (coeffs, const, mult) in bounds
+        ]
+        bounded = Polyhedron._from_rep_rows(n + 1, self._topology, rows)
+        q = self.add_dimensions(1).intersection(bounded)
+        return q._mapped(n, _columns([*range(1 + k), 1 + n, *range(2 + k, 1 + n)], 2 + n))
 
     def relation_image(self, rel: Polyhedron) -> Polyhedron:
         """psi_rel: embed into 2n dims, meet the relation, keep primed dims."""
@@ -905,19 +910,13 @@ class Polyhedron:
         ``xi0`` so that points stay points and closure points stay
         closure points.
         """
-        meet = self.intersection(m.guard)
-        if meet.is_empty():
-            return Polyhedron.empty(self._dim, self._topology)
         cut = self._dim + 1
 
-        def image(v: Vec) -> Vec | None:
+        def image(v: Vec) -> list[int]:
             mapped = [_dot(row, v) for row in m.matrix]
-            return _norm([m.den * v[0], *mapped, *(m.den * x for x in v[cut:])])
+            return [m.den * v[0], *mapped, *(m.den * x for x in v[cut:])]
 
-        lines, rays = meet._gens_any()
-        new_lines = [w for w in map(image, lines) if w is not None]
-        new_rays = [w for w in map(image, rays) if w is not None]
-        return Polyhedron._from_rep_gens(self._dim, self._topology, new_lines, new_rays)
+        return self.intersection(m.guard)._mapped(self._dim, image)
 
     def time_elapse(self, rates: Polyhedron) -> Polyhedron:
         """``{v + t*w : v in self, w in rates, t >= 0}`` via generators."""
@@ -926,14 +925,13 @@ class Polyhedron:
             return Polyhedron.empty(self._dim, self._topology)
         lines, rays = self._gens_any()
         dlines, drays = rates._gens_any()
-        new_lines = list(lines) + list(dlines)
+        cut, tail = self._dim + 1, (0,) * (self._rep_dim - self._dim)
         new_rays = list(rays)
-        for r in drays:
-            direction = [0] + list(r[1 : 1 + self._dim]) + ([0] if self._topology is Topology.NNC else [])
-            v = _norm(direction)
+        for r in drays:  # a point of rates is a direction: its xi0 and tail zeroed
+            v = _norm((0, *r[1:cut], *tail))
             if v is not None:
                 new_rays.append(v)
-        return Polyhedron._from_rep_gens(self._dim, self._topology, new_lines, new_rays)
+        return Polyhedron._from_rep_gens(self._dim, self._topology, lines + dlines, new_rays)
 
     def topological_closure(self, *, as_closed: bool = False) -> Polyhedron:
         if self._topology is Topology.CLOSED:
@@ -959,19 +957,7 @@ class Polyhedron:
     def add_dimensions(self, m: int) -> Polyhedron:
         if m < 0:
             raise DimensionError("cannot add a negative number of dimensions")
-        if m == 0:
-            return self
-        if self._empty:
-            return Polyhedron.empty(self._dim + m, self._topology)
-        rows = []
-        pad = (0,) * m
-        if self._topology is Topology.CLOSED:
-            for vec, is_eq in self._rows_any():
-                rows.append((vec + pad, is_eq))
-        else:
-            for vec, is_eq in self._rows_any():
-                rows.append((vec[:-1] + pad + vec[-1:], is_eq))
-        return Polyhedron._from_rep_rows(self._dim + m, self._topology, rows)
+        return self.concatenate(Polyhedron.universe(m, self._topology)) if m else self
 
     def remove_dimensions(self, dims: Iterable[int]) -> Polyhedron:
         drop = sorted(set(dims))
@@ -980,42 +966,22 @@ class Polyhedron:
                 raise DimensionError(f"dimension {d} out of range")
         if not drop:
             return self
-        new_dim = self._dim - len(drop)
-        if self.is_empty():
-            return Polyhedron.empty(new_dim, self._topology)
-        cols = [0] + [1 + i for i in range(self._dim) if i not in drop]
-        if self._topology is Topology.NNC:
-            cols.append(self._eps_col())
-
-        def project(v: Vec) -> Vec | None:
-            return _norm([v[c] for c in cols])
-
-        lines, rays = self._gens_any()
-        new_lines = [w for w in map(project, lines) if w is not None]
-        new_rays = [w for w in map(project, rays) if w is not None]
-        return Polyhedron._from_rep_gens(new_dim, self._topology, new_lines, new_rays)
+        kept = [1 + i for i in range(self._dim) if i not in drop]
+        return self._mapped(len(kept), _columns([0, *kept], 1 + self._dim))
 
     def map_dimensions(self, perm: Sequence[int]) -> Polyhedron:
         if len(perm) != self._dim or sorted(perm) != list(range(self._dim)):
             raise DimensionError("map_dimensions needs a total permutation")
         if self._empty:
             return self
-        cols = [0] * self._hom_dim
+        cols = [0] * (1 + self._dim)
         for old, new in enumerate(perm):
             cols[1 + new] = 1 + old
-        if self._topology is Topology.NNC:
-            cols[self._eps_col()] = self._eps_col()
-
-        def remap(vec: Vec) -> Vec:
-            return tuple(vec[c] for c in cols)
-
-        if self._rows is not None:
-            rows = [(remap(v), eq) for v, eq in self._rows_any()]
-            return Polyhedron._from_rep_rows(self._dim, self._topology, rows)
-        lines, rays = self._gens_any()
-        return Polyhedron._from_rep_gens(
-            self._dim, self._topology, [remap(l) for l in lines], [remap(r) for r in rays]
-        )
+        remap = _columns(cols, 1 + self._dim)
+        if self._rows is None:
+            return self._mapped(self._dim, remap)
+        rows = [(remap(v), eq) for v, eq in self._rows]
+        return Polyhedron._from_rep_rows(self._dim, self._topology, rows)
 
     def concatenate(self, other: Polyhedron) -> Polyhedron:
         if self._topology is not other._topology:
@@ -1023,17 +989,9 @@ class Polyhedron:
         m, n = self._dim, other._dim
         if self._empty or other._empty:
             return Polyhedron.empty(m + n, self._topology)
-        rows: list[Row] = []
-        if self._topology is Topology.CLOSED:
-            for vec, eq in self._rows_any():
-                rows.append((vec + (0,) * n, eq))
-            for vec, eq in other._rows_any():
-                rows.append(((vec[0],) + (0,) * m + vec[1:], eq))
-        else:
-            for vec, eq in self._rows_any():
-                rows.append((vec[:-1] + (0,) * n + vec[-1:], eq))
-            for vec, eq in other._rows_any():
-                rows.append(((vec[0],) + (0,) * m + vec[1:], eq))
+        # self's variables first, then other's, the tail shared
+        rows = [(vec[: 1 + m] + (0,) * n + vec[1 + m :], eq) for vec, eq in self._rows_any()]
+        rows += [(vec[:1] + (0,) * m + vec[1:], eq) for vec, eq in other._rows_any()]
         return Polyhedron._from_rep_rows(m + n, self._topology, rows)
 
     # -- bounds -------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything here decides questions about linear systems *without* the
 double-description machinery: Fourier-Motzkin elimination over exact
 rationals (tracking strictness) answers feasibility, implication and
-inclusion queries, and a tiny vertex enumerator handles the 1-D cases.
+inclusion queries and projects systems onto some of their variables
+(``fm_project``, which also gives the constraints of a generator system,
+``fm_generated``), and a tiny vertex enumerator handles the 1-D cases.
 Two references are exceptions: ``semantic_contains`` decides NNC
 inclusion on the kernel's emitted constraint and generator systems, the
 reference for the kernel's own test on the slack embedding, and
@@ -58,46 +60,106 @@ def _fm_dedupe(rows: list[Ineq]) -> list[Ineq]:
     return [(nc, nrhs, strict) for nc, (nrhs, strict) in best.items()]
 
 
+def _fm_eliminate(rows: list[Ineq], k: int) -> list[Ineq]:
+    """The rows with variable k eliminated, strictness tracked."""
+    rows = _fm_dedupe(rows)
+    pos = [r for r in rows if r[0][k] > 0]
+    neg = [r for r in rows if r[0][k] < 0]
+    new_rows = [r for r in rows if r[0][k] == 0]
+    for ap, bp, sp in pos:
+        for an, bn, sn in neg:
+            lam = -an[k]  # > 0
+            mu = ap[k]  # > 0
+            coeffs = tuple(lam * x + mu * y for x, y in zip(ap, an))
+            rhs = lam * bp + mu * bn
+            new_rows.append((coeffs, rhs, sp or sn))
+    return new_rows
+
+
+def fm_project(ineqs: list[Ineq], dim: int, keep) -> list[Ineq]:
+    """``{x : ineqs}`` in ``dim`` variables, projected onto ``keep`` in that order.
+
+    A pair of opposite non-strict rows is an equality: a variable that one
+    mentions is substituted away with it.  Any other variable is
+    eliminated by Fourier-Motzkin.
+    """
+    rows = [(tuple(map(Fraction, a)), Fraction(b), strict) for a, b, strict in ineqs]
+    for k in range(dim):
+        if k in keep:
+            continue
+        rows = _fm_dedupe(rows)
+        weak = {(a, b) for a, b, strict in rows if not strict}
+        pivot = next(
+            ((a, b) for a, b, strict in rows
+             if a[k] and not strict and (tuple(-x for x in a), -b) in weak),
+            None,
+        )
+        if pivot is None:
+            rows = _fm_eliminate(rows, k)
+            continue
+        a, b = pivot
+
+        def substituted(coeffs, rhs, strict):
+            f = coeffs[k] / a[k]
+            return tuple(c - f * x for c, x in zip(coeffs, a)), rhs - f * b, strict
+
+        rows = [substituted(*row) for row in rows]
+    return [(tuple(c[i] for i in keep), r, strict) for c, r, strict in rows]
+
+
 def fm_feasible(ineqs: list[Ineq], dim: int) -> bool:
     """Rational feasibility of a conjunction of (possibly strict) inequalities."""
-    rows = list(ineqs)
-    for k in range(dim):
-        rows = _fm_dedupe(rows)
-        pos = [r for r in rows if r[0][k] > 0]
-        neg = [r for r in rows if r[0][k] < 0]
-        zero = [r for r in rows if r[0][k] == 0]
-        new_rows = list(zero)
-        for ap, bp, sp in pos:
-            for an, bn, sn in neg:
-                lam = -an[k]  # > 0
-                mu = ap[k]  # > 0
-                coeffs = tuple(lam * x + mu * y for x, y in zip(ap, an))
-                rhs = lam * bp + mu * bn
-                new_rows.append((coeffs, rhs, sp or sn))
-        rows = new_rows
-    for coeffs, rhs, strict in rows:
-        assert all(c == 0 for c in coeffs)
-        if strict:
-            if not rhs < 0:
-                return False
-        else:
-            if not rhs <= 0:
-                return False
-    return True
+    # every variable eliminated, each row reads 0 >= rhs (0 > rhs when strict)
+    return all(rhs < 0 or rhs == 0 and not strict for _, rhs, strict in fm_project(ineqs, dim, ()))
+
+
+def fm_entails(ineqs: list[Ineq], row: Ineq, dim: int) -> bool:
+    """Does the system ineqs entail the single inequality row?"""
+    coeffs, rhs, strict = row
+    # the negation of <a,x> >= b is <-a,x> > -b; of > it is >=
+    return not fm_feasible([*ineqs, (tuple(-x for x in coeffs), -rhs, not strict)], dim)
+
+
+def fm_same_set(a: list[Ineq], b: list[Ineq], dim: int) -> bool:
+    """Do the two systems describe the same set?"""
+    return all(fm_entails(a, r, dim) for r in b) and all(fm_entails(b, r, dim) for r in a)
+
+
+def fm_generated(generators, dim: int) -> list[Ineq]:
+    """The set a generator system describes, as inequalities.
+
+    ``x = sum of w_j g_j``: the weights of points and closure points are
+    nonnegative, sum to 1 and are positive on the points together, those
+    of rays are nonnegative.  Projecting the weights away leaves x.
+    """
+    gens = list(generators)
+    width = dim + len(gens)
+
+    def row(coeffs, rhs=0, strict=False):
+        return tuple(coeffs), Fraction(rhs), strict
+
+    def indicator(cols):
+        return [1 if i in cols else 0 for i in range(width)]
+
+    eqs = []
+    for i in range(dim):  # x_i - sum of w_j g_j[i] = 0
+        coeffs = indicator({i})
+        for j, g in enumerate(gens):
+            coeffs[dim + j] = -Fraction(g.coeffs[i], g.divisor or 1)
+        eqs.append(row(coeffs))
+    weighted = {dim + j for j, g in enumerate(gens) if g.kind is not GenKind.RAY}
+    eqs.append(row(indicator(weighted), 1))
+    rows = eqs + [row([-x for x in a], -b) for a, b, _ in eqs]
+    rows += [row(indicator({dim + j})) for j in range(len(gens))]
+    points = {dim + j for j, g in enumerate(gens) if g.kind is GenKind.POINT}
+    rows.append(row(indicator(points), 0, True))
+    return fm_project(rows, width, range(dim))
 
 
 def fm_implies(cs, c: Constraint, dim: int) -> bool:
     """Does the system cs entail the single constraint c?"""
     base = constraints_to_ineqs(cs)
-    if c.rel is Rel.EQ:
-        return fm_implies(cs, Constraint(c.coeffs, c.rhs, Rel.GE), dim) and fm_implies(
-            cs, Constraint(tuple(-x for x in c.coeffs), -c.rhs, Rel.GE), dim
-        )
-    a = tuple(Fraction(x) for x in c.coeffs)
-    b = Fraction(c.rhs)
-    # negation of <a,x> >= b is <-a,x> > -b; of > is >=
-    negated: Ineq = (tuple(-x for x in a), -b, c.rel is Rel.GE)
-    return not fm_feasible(base + [negated], dim)
+    return all(fm_entails(base, row, dim) for row in constraints_to_ineqs([c]))
 
 
 def fm_includes(cs_outer, cs_inner, dim: int) -> bool:

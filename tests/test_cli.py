@@ -1,6 +1,7 @@
 """CLI behavior: golden lines, exit codes, determinism, re-parse property."""
 
 import io
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -40,6 +41,18 @@ def scheduler_path(tmp_path):
     p = tmp_path / "scheduler.lha"
     p.write_text(example_text("scheduler.lha"))
     return str(p)
+
+
+@pytest.mark.parametrize("command", ["analyze", "reach", "poly"])
+def test_input_file_is_closed(command, tmp_path, loop_path, water_path):
+    script = tmp_path / "script.poly"
+    script.write_text("vars x;\nprint {x>=0};\n")
+    path = {"analyze": loop_path, "reach": water_path, "poly": str(script)}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(command, path)
+    assert code == 0
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestAnalyze:

@@ -1,8 +1,10 @@
 """The exact stdout of the CLI on the shipped examples.
 
-Each file in ``tests/golden/`` holds the bytes one command printed when it
-was recorded; kernel changes that claim to keep the output must keep them.
-Rerecord a file only for a change that means to alter that output.
+Each ``.out`` file in ``tests/golden/`` holds the bytes one command printed
+when it was recorded; kernel changes that claim to keep the output must
+keep them.  Rerecord a file only for a change that means to alter that
+output.  A ``.poly`` file there is a ``polyinv poly`` script whose output
+is pinned the same way.
 """
 
 import io
@@ -30,13 +32,26 @@ CASES = {
 }
 
 
+SCRIPTS = sorted(path.stem for path in GOLDEN.glob("*.poly"))
+
+
+def assert_recorded(name, argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_is_the_recorded_bytes(name, tmp_path):
     command, example, *options = CASES[name]
     path = tmp_path / example
     path.write_text(example_text(example))
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main([command, str(path), *options])
-    assert code == 0
-    assert out.getvalue().encode() == (GOLDEN / f"{name}.out").read_bytes()
+    assert_recorded(name, [command, str(path), *options])
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_poly_script_prints_the_recorded_bytes(name):
+    # every poly operation on NNC and generator-built operands
+    assert_recorded(name, ["poly", str(GOLDEN / f"{name}.poly")])

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from polyinv import polyhedron
-from polyinv.linalg import GenKind, Generator, LinExpr, Rel, canonicalize_constraint
+from polyinv.linalg import (
+    DimensionError, GenKind, Generator, LinExpr, Rel, canonicalize_constraint,
+)
 from polyinv.parse import parse_constraints
 from polyinv.polyhedron import (
     GeneratorSystemError,
@@ -181,18 +183,15 @@ class TestLazyConversion:
             return out
 
         reference = run(semantic_contains)
+        # the kernel cannot canonicalize a constraint: it no longer imports the helper
+        assert not hasattr(polyhedron, "canonicalize_constraint")
         emitted = []
-        canonicalize, point = polyhedron.canonicalize_constraint, Generator.point
-
-        def counting_canonicalize(*args, **kwargs):
-            emitted.append("constraint")
-            return canonicalize(*args, **kwargs)
+        point = Generator.point
 
         def counting_point(*args, **kwargs):
             emitted.append("generator")
             return point(*args, **kwargs)
 
-        monkeypatch.setattr(polyhedron, "canonicalize_constraint", counting_canonicalize)
         monkeypatch.setattr(Generator, "point", staticmethod(counting_point))
         got = run(Polyhedron.contains)
         assert [answer for answer, _ in got] == [answer for answer, _ in reference]
@@ -305,6 +304,15 @@ class TestImages:
         p = poly("x0=0, x1=0")
         q = p.bounded_affine_image(0, LinExpr.variable(0, 2), None)
         assert q.equals(poly("x0>=0, x1=0"))
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    @pytest.mark.parametrize("value", [Polyhedron.empty(2), Polyhedron.universe(2)])
+    def test_bounded_affine_image_checks_bound_dimensions(self, value, side):
+        # an empty value too: the check comes before the emptiness shortcut
+        wrong = LinExpr.constant(0, 5)
+        bounds = (wrong, None) if side == "lo" else (None, wrong)
+        with pytest.raises(DimensionError, match="expression of dimension 5, expected 2"):
+            value.bounded_affine_image(0, *bounds)
 
 
 class TestRelationAndElapse:
