@@ -72,13 +72,11 @@ def _store_lines(program: imp.Program, result: AnalysisResult, records: bool) ->
 
     Rendering converts, so it can hit the coefficient limit like the engine.
     """
-    by_pid = {s.pid: s for s in program.statements()}
     lines = []
-    for pid in sorted(by_pid):
-        if pid not in result.entries:
+    for stmt in sorted(program.statements(), key=lambda s: s.pid):
+        pid, store = stmt.pid, result.entries.get(stmt.pid)
+        if store is None:
             continue
-        stmt = by_pid[pid]
-        store = result.entries[pid]
         tag = " [loop]" if pid in result.loop_invariants else ""
         rendered = store.pretty()
         if records:

@@ -288,15 +288,8 @@ def _identity_relation(n: int) -> Polyhedron:
 
 def _interleave_relation(rel: Polyhedron, m: int, n: int) -> Polyhedron:
     """(x, x', y, y') -> (x, y, x', y') for a concatenated relation."""
-    perm = [0] * (2 * m + 2 * n)
-    for i in range(m):
-        perm[i] = i  # x stays
-    for i in range(m):
-        perm[m + i] = m + n + i  # x' moves past y
-    for i in range(n):
-        perm[2 * m + i] = m + i  # y moves up
-    for i in range(n):
-        perm[2 * m + n + i] = 2 * m + n + i  # y' stays last
+    # perm[i] is the new place of dimension i: x stays, x' moves past y, y moves up, y' stays
+    perm = [*range(m), *range(m + n, 2 * m + n), *range(m, m + n), *range(2 * m + n, 2 * (m + n))]
     return rel.map_dimensions(perm)
 
 

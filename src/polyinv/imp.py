@@ -125,7 +125,7 @@ class Program:
     body: Stmt
 
     def statements(self) -> Iterator[Stmt]:
-        yield from _walk_statements(self.body)
+        yield from walk_statements(self.body)
 
 
 def _fields(node: Node) -> list:
@@ -133,17 +133,18 @@ def _fields(node: Node) -> list:
     return [getattr(node, f) for f in node.__match_args__[3:]]
 
 
-def _walk_statements(s: Stmt) -> Iterator[Stmt]:
+def walk_statements(s: Stmt) -> Iterator[Stmt]:
+    """The statements of the tree rooted at s, s first, in pre-order."""
     while isinstance(s, Seq):
         yield s
-        yield from _walk_statements(s.first)
+        yield from walk_statements(s.first)
         s = s.second
     yield s
     if isinstance(s, If):
-        yield from _walk_statements(s.then)
-        yield from _walk_statements(s.orelse)
+        yield from walk_statements(s.then)
+        yield from walk_statements(s.orelse)
     elif isinstance(s, While):
-        yield from _walk_statements(s.body)
+        yield from walk_statements(s.body)
 
 
 # ---------------------------------------------------------------------------

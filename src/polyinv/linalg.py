@@ -72,9 +72,6 @@ class LinExpr:
     def dim(self) -> int:
         return len(self.coeffs)
 
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def _check(self, other: LinExpr) -> None:
         if self.dim != other.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -99,15 +96,6 @@ class LinExpr:
     def scale(self, k) -> LinExpr:
         k = Fraction(k)
         return LinExpr(tuple(k * a for a in self.coeffs), k * self.const)
-
-    def try_mul(self, other: LinExpr) -> LinExpr | None:
-        """Product when at least one factor is constant, else None."""
-        self._check(other)
-        if self.is_constant():
-            return other.scale(self.const)
-        if other.is_constant():
-            return self.scale(other.const)
-        return None
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.dim:

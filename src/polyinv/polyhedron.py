@@ -714,9 +714,6 @@ class Polyhedron:
         extra = Polyhedron.from_constraints(self._dim, self._topology, constraints)
         return self.intersection(extra)
 
-    def add_constraint(self, c: Constraint) -> Polyhedron:
-        return self.add_constraints([c])
-
     def poly_hull(self, other: Polyhedron) -> Polyhedron:
         self._check_compatible(other)
         if self.is_empty():
@@ -759,52 +756,49 @@ class Polyhedron:
         new_rays = [w for w in map(_norm, map(image, rays)) if w is not None]
         return Polyhedron._from_rep_gens(dim, self._topology, new_lines, new_rays)
 
-    def _integerize_expr(self, expr: LinExpr) -> tuple[tuple[int, ...], int, int]:
-        if expr.dim != self._dim:
-            raise DimensionError(f"expression of dimension {expr.dim}, expected {self._dim}")
-        ints, mult = scale_to_integers(tuple(expr.coeffs) + (expr.const,))
-        return ints[:-1], ints[-1], mult
+    def _integerize_expr(self, expr: LinExpr | Sequence[int]) -> tuple[Sequence[int], int]:
+        """``(row, den)``: a row ``(const, c_1..c_n)`` as it is over 1, a LinExpr scaled."""
+        row, den = expr, 1
+        if isinstance(expr, LinExpr):
+            row, den = scale_to_integers((expr.const, *expr.coeffs))
+        if len(row) != 1 + self._dim:
+            raise DimensionError(f"expression of dimension {len(row) - 1}, expected {self._dim}")
+        return row, den
 
-    def affine_image(self, k: int, expr: LinExpr) -> Polyhedron:
-        """Exact image of the single-update map ``x_k := expr(x)``."""
+    def affine_image(self, k: int, expr: LinExpr | Sequence[int]) -> Polyhedron:
+        """Exact image of ``x_k := expr(x)``, expr a LinExpr or an integer row."""
         if not 0 <= k < self._dim:
             raise DimensionError(f"dimension {k} out of range")
-        coeffs, const, mult = self._integerize_expr(expr)
-        row = (const, *coeffs)
+        row, den = self._integerize_expr(expr)
 
         def image(vec: Vec) -> list[int]:
-            out = [mult * x for x in vec]
+            out = list(vec) if den == 1 else [den * x for x in vec]
             out[1 + k] = _dot(row, vec)
             return out
 
         return self._mapped(self._dim, image)
 
-    def affine_preimage(self, k: int, expr: LinExpr) -> Polyhedron:
+    def affine_preimage(self, k: int, expr: LinExpr | Sequence[int]) -> Polyhedron:
         """Exact preimage of the single-update map ``x_k := expr(x)``."""
         if not 0 <= k < self._dim:
             raise DimensionError(f"dimension {k} out of range")
-        coeffs, const, mult = self._integerize_expr(expr)
+        row, den = self._integerize_expr(expr)
         if self._empty:
             return self
         col = 1 + k
         rows = []
-        for vec, is_eq in self._rows_any():
-            ck = vec[col]
-            out = [mult * x for x in vec]
-            out[0] = mult * vec[0] + ck * const
-            for i, a in enumerate(coeffs):
-                if i == k:
-                    out[1 + i] = ck * a
-                else:
-                    out[1 + i] = mult * vec[1 + i] + ck * a
+        for vec, is_eq in self._rows_any():  # den * vec with x_k replaced by row / den
+            out = [den * x for x in vec]
+            out[col] = 0
+            for i, a in enumerate(row):
+                out[i] += vec[col] * a
             v = _norm(out)
-            if v is None:
-                continue
-            rows.append((v, is_eq))
+            if v is not None:
+                rows.append((v, is_eq))
         return Polyhedron._from_rep_rows(self._dim, self._topology, rows)
 
     def bounded_affine_image(
-        self, k: int, lo: LinExpr | None, hi: LinExpr | None
+        self, k: int, lo: LinExpr | Sequence[int] | None, hi: LinExpr | Sequence[int] | None
     ) -> Polyhedron:
         """Exact image of ``lo(x) <= x_k' <= hi(x)`` (identity elsewhere).
 
@@ -818,11 +812,9 @@ class Polyhedron:
             return self
         n = self._dim
         tail = (0,) * (self._rep_dim - n)
-        # s * (mult * w - <coeffs, x> - const) >= 0: w >= lo(x) for s = 1, w <= hi(x) for -1
-        rows = [
-            (_norm((-s * const, *(-s * a for a in coeffs), s * mult, *tail)), False)
-            for s, (coeffs, const, mult) in bounds
-        ]
+        # s * (den * w - row(x)) >= 0: w >= lo(x) for s = 1, w <= hi(x) for s = -1
+        rows = [(_norm((*(-s * a for a in row), s * den, *tail)), False)
+                for s, (row, den) in bounds]
         bounded = Polyhedron._from_rep_rows(n + 1, self._topology, rows)
         q = self.add_dimensions(1).intersection(bounded)
         return q._mapped(n, _columns([*range(1 + k), 1 + n, *range(2 + k, 1 + n)], 2 + n))

@@ -119,8 +119,6 @@ def test_linexpr_arithmetic():
     x1 = LinExpr.variable(1, 2)
     e = x0.scale(2) + x1.scale(3) - LinExpr.constant(5, 2)
     assert e.coeffs == (2, 3) and e.const == -5
-    assert (x0.try_mul(x1)) is None
-    assert LinExpr.constant(4, 2).try_mul(x1).coeffs == (0, 4)
 
 
 def test_format_constraint():
