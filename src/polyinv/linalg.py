@@ -27,16 +27,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DimensionError(ValueError):
     """Operands live in different (or out-of-range) space dimensions."""
-
-
-def vector_gcd(values: Iterable[int]) -> int:
-    """The nonnegative gcd of the values; 0 when there are none or all are 0."""
-    return gcd(*values)
 
 
 def scale_to_integers(values: Sequence) -> tuple[tuple[int, ...], int]:
@@ -172,7 +167,7 @@ def canonicalize_constraint(coeffs: Sequence, rel, rhs=0) -> Constraint:
         raise ValueError(f"unknown relation {rel!r}") from None
 
     *acoeffs, arhs = ints
-    g = vector_gcd(ints)
+    g = gcd(*ints)
     if g > 1:
         acoeffs = [c // g for c in acoeffs]
         arhs //= g
@@ -219,7 +214,7 @@ class Generator:
     def point(coords: Sequence, divisor=1, *, kind: GenKind = GenKind.POINT) -> Generator:
         values = [Fraction(c, divisor) for c in coords]
         ints, mult = scale_to_integers(values)
-        g = vector_gcd(ints + (mult,))
+        g = gcd(*ints, mult)
         if g > 1:
             ints = tuple(c // g for c in ints)
             mult //= g
@@ -232,7 +227,7 @@ class Generator:
     @staticmethod
     def ray(direction: Sequence) -> Generator:
         ints, _ = scale_to_integers([Fraction(c) for c in direction])
-        g = vector_gcd(ints)
+        g = gcd(*ints)
         if g == 0:
             raise ValueError("a ray needs a nonzero direction")
         if g > 1:

@@ -62,6 +62,12 @@ strict when that coefficient is negative.
 Emission reads the integer minimal rows directly: each constraint is a
 row with its slack dropped, divided by the gcd of what is left, and no
 ``Fraction`` is built between the conversion and the printed system.
+Emission depends only on the encoded cone, not on how a value was built:
+the minimal rows are in a normal form (each equality's last nonzero
+column is zero in every other minimal row), and the minimal rays are
+emitted reduced by the unique reduced row echelon form of the lines
+(``_eliminate``).  So the closure maps the minimal generators as they
+are, and membership is the inclusion of a one-point value.
 
 Everything here is exact integer/rational arithmetic; values are
 immutable after construction (the lazily converted descriptions are
@@ -278,56 +284,43 @@ def _dual_rows(hom_dim: int, lines: Sequence[Vec], rays: Sequence[Vec]) -> list[
 
 
 # ---------------------------------------------------------------------------
-# Canonical bases (deterministic emission)
+# Integer elimination (deterministic emission, compiled affine maps)
 # ---------------------------------------------------------------------------
 
-def _echelonize(vectors: Sequence[Vec], cols: range) -> list[Vec]:
-    """Integer reduced row echelon over the given columns.
+def _reduce(v: Sequence[int], pivots: dict[int, Vec]) -> Vec | None:
+    """``v`` with each pivot column zeroed by its pivot row, normalized; None if zero."""
+    for c, p in pivots.items():
+        if q := v[c]:
+            v = [p[c] * a - q * b for a, b in zip(v, p)]
+    return _norm(v)
 
-    Pivots are made positive; rows are fully reduced against each other
-    and sorted by pivot column, giving a canonical basis.
+
+def _eliminate(vectors: Iterable[Vec], cols: Sequence[int]) -> tuple[dict[int, Vec], list[Vec]]:
+    """Gauss-Jordan elimination of ``vectors``, one at a time, over ``cols``.
+
+    Returns the pivot rows by column and the rest, the nonzero reduced
+    vectors that are zero on ``cols``.  A vector reduced by the pivots
+    before it becomes a pivot at its first nonzero column in ``cols``,
+    made positive there and cleared from the other pivots: a reduced row
+    echelon form, unique for the span, whatever the order, when no rest.
     """
-    basis = [list(v) for v in vectors]
-    pivots: list[tuple[int, int]] = []  # (col, row index)
-    for col in cols:
-        pivot_row = None
-        for i, row in enumerate(basis):
-            if i in (r for _, r in pivots):
-                continue
-            if row[col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    pivots: dict[int, Vec] = {}
+    rest: list[Vec] = []
+    for v in vectors:
+        v = _reduce(v, pivots)
+        if v is None:
             continue
-        if basis[pivot_row][col] < 0:
-            basis[pivot_row] = [-x for x in basis[pivot_row]]
-        p = basis[pivot_row][col]
-        for i, row in enumerate(basis):
-            if i == pivot_row or row[col] == 0:
-                continue
-            q = row[col]
-            basis[i] = [p * a - q * b for a, b in zip(row, basis[pivot_row])]
-        pivots.append((col, pivot_row))
-    out = []
-    for col, i in sorted(pivots):
-        v = _norm(basis[i])
-        assert v is not None
-        out.append(v)
-    return out
-
-
-def _reduce_mod(v: Vec, basis: Sequence[Vec], cols: range) -> Vec:
-    """Reduce v against an echelon basis (pivot columns zeroed out)."""
-    work = list(v)
-    for b in basis:
-        col = next(c for c in cols if b[c] != 0)
-        if work[col] != 0:
-            p = b[col]
-            q = work[col]
-            work = [p * a - q * x for a, x in zip(work, b)]
-    reduced = _norm(work)
-    assert reduced is not None
-    return reduced
+        col = next((c for c in cols if v[c]), None)
+        if col is None:
+            rest.append(v)
+            continue
+        if v[col] < 0:
+            v = tuple([-x for x in v])
+        for c, p in pivots.items():
+            if p[col]:
+                pivots[c] = _combine(v[col], p, -p[col], v)
+        pivots[col] = v
+    return pivots, rest
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +540,10 @@ class Polyhedron:
     def contains_point(self, point: Sequence) -> bool:
         if len(point) != self._dim:
             raise DimensionError(f"point of dimension {len(point)}, expected {self._dim}")
-        if self.is_empty():
-            return False
-        coords = [Fraction(x) for x in point]
-        for c in self.minimized_constraints():
-            value = sum(a * x for a, x in zip(c.coeffs, coords)) - c.rhs
-            if c.rel is Rel.EQ and value != 0:
-                return False
-            if c.rel is Rel.GE and value < 0:
-                return False
-            if c.rel is Rel.GT and value <= 0:
-                return False
-        return True
+        coords, den = scale_to_integers(point)  # a vector in lowest terms
+        tail = (den,) * (self._rep_dim - self._dim)  # slack 1: a point, not a closure point
+        vec = (den, *coords, *tail)
+        return self.contains(Polyhedron._from_rep_gens(self._dim, self._topology, [], [vec]))
 
     def _check_compatible(self, other: Polyhedron) -> None:
         if self._dim != other._dim:
@@ -659,10 +644,9 @@ class Polyhedron:
         """
         lines, rays = self._minimal_gens()
         n = self._dim
-        var_cols = range(1, self._hom_dim)
-        basis = _echelonize(lines, var_cols)
+        pivots, _ = _eliminate(lines, range(1, self._hom_dim))
         out: set[Generator] = set()
-        for l in basis:
+        for l in pivots.values():
             direction = l[1 : 1 + n]
             if any(direction):
                 out.add(Generator(GenKind.RAY, direction, 0))
@@ -670,7 +654,7 @@ class Polyhedron:
         nnc = self._topology is Topology.NNC
         e = self._eps_col()
         for r in rays:
-            r = _reduce_mod(r, basis, var_cols)
+            r = _reduce(r, pivots)
             xi0, coeffs = r[0], r[1 : 1 + n]
             if xi0 == 0:
                 if any(coeffs):
@@ -839,9 +823,9 @@ class Polyhedron:
 
         Gauss-Jordan elimination of the equality rows over the primed
         columns: when every primed column gets a pivot, the pivot rows
-        give the map, the other equalities and every inequality with its
-        primed variables substituted away give the guard.  Otherwise (an
-        update that is not a function, such as ``x' >= 0``) it is None.
+        give the map, the other equalities and every inequality reduced by
+        the pivot rows give the guard.  Otherwise (an update that is not a
+        function, such as ``x' >= 0``) it is None.
         """
         if self._dim % 2:
             return None
@@ -852,26 +836,7 @@ class Polyhedron:
         if any(x for vec in eqs for x in vec[tail]):
             return None
         primed = range(n + 1, 2 * n + 1)
-        pivots: dict[int, Vec] = {}  # primed column -> the row that solves it
-        guard: list[Row] = []
-        for v in eqs:
-            for col, p in pivots.items():
-                if v[col]:
-                    v = _combine(p[col], v, -v[col], p)
-                    if v is None:
-                        break
-            if v is None:
-                continue  # a combination of the equalities before it
-            col = next((c for c in primed if v[c]), None)
-            if col is None:
-                guard.append((v[: n + 1] + v[tail], True))
-                continue
-            if v[col] < 0:
-                v = tuple(-x for x in v)
-            for c, p in pivots.items():
-                if p[col]:
-                    pivots[c] = _combine(v[col], p, -p[col], v)
-            pivots[col] = v
+        pivots, rest = _eliminate(eqs, primed)  # a primed column -> the row that solves it
         if len(pivots) != n:
             return None
         # row j solves p_j x'_j + <c, x> + k = 0
@@ -880,17 +845,11 @@ class Polyhedron:
         matrix = tuple(
             tuple(-x * (den // v[c]) for x in v[: n + 1]) for c, v in zip(primed, solving)
         )
-        # an NNC side row maps to the same side row of the guard, kept once
-        for vec, is_eq in rows:
-            if is_eq:
-                continue
-            head = [den * x for x in vec[: n + 1]]
-            for q, row in zip(vec[n + 1 : 2 * n + 1], matrix):
-                if q:
-                    head = [h + q * a for h, a in zip(head, row)]
-            v = _norm(head + [den * x for x in vec[tail]])
-            if v is not None:
-                guard.append((v, False))
+        # reducing an inequality by the pivots substitutes the map for x'; an
+        # NNC side row maps to the same side row of the guard, kept once
+        ineqs = [_reduce(vec, pivots) for vec, is_eq in rows if not is_eq]
+        guard = [(v[: n + 1] + v[tail], True) for v in rest]
+        guard += [(v[: n + 1] + v[tail], False) for v in ineqs if v is not None]
         return AffineMap(Polyhedron._from_rep_rows(n, self._topology, guard), matrix, den)
 
     def affine_map(self, m: AffineMap) -> Polyhedron:
@@ -931,18 +890,16 @@ class Polyhedron:
         target = Topology.CLOSED if as_closed else Topology.NNC
         if self.is_empty():
             return Polyhedron.empty(self._dim, target)
-        # the encoding from_generators gives the emitted generators, closure
-        # points made points, in the emitted order that later conversions see
-        slack = () if as_closed else (0,)
-        rays: list[Vec] = []
-        for g in self._emitted_gens():
-            if g.kind is GenKind.RAY:
-                rays.append((0, *g.coeffs, *slack))
-            elif as_closed:
-                rays.append((g.divisor, *g.coeffs))
-            else:
-                rays += [(g.divisor, *g.coeffs, g.divisor), (g.divisor, *g.coeffs, 0)]
-        return Polyhedron._from_rep_gens(self._dim, target, [], rays)
+        # the embedding's generators with the slack dropped, or set to xi0 and
+        # to 0: they generate the closure's encoded set proj_x(E) x [0, 1]
+        lines, rays = self._minimal_gens()
+        cut = 1 + self._dim
+        if as_closed:
+            lifted = [[r[:cut] for r in vecs] for vecs in (lines, rays)]
+        else:  # the two lifts of a line or ray coincide, kept once
+            lifted = [[r[:cut] + (s,) for r in vecs for s in (r[0], 0)] for vecs in (lines, rays)]
+        new_lines, new_rays = [list(dict.fromkeys(map(_norm, vecs))) for vecs in lifted]
+        return Polyhedron._from_rep_gens(self._dim, target, new_lines, new_rays)
 
     # -- dimension surgery --------------------------------------------------------
 

@@ -15,7 +15,12 @@ selection by saturation sets.  ``fraction_constraints`` emits a
 polyhedron's constraints by rebuilding every minimal row through
 ``Fraction`` canonicalization (``fraction_canonicalize_constraint`` and
 ``fraction_scale_to_integers``), the reference for the kernel's integer
-emission and the linalg helpers.
+emission and the linalg helpers.  ``emitted_closure`` closes an NNC value
+by encoding its emitted generators, the reference for the kernel's
+closure by a map of its minimal generators; ``fraction_contains_point``
+tests membership on the emitted constraints in Fractions, the reference
+for membership as inclusion; ``fraction_eliminate`` is Gauss-Jordan
+elimination in Fractions, the reference for the kernel's integer one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 from polyinv.linalg import Constraint, GenKind, Rel
-from polyinv.polyhedron import Polyhedron, Topology, _dot, _split_inequalities
+from polyinv.polyhedron import Polyhedron, Topology, _dot, _norm, _split_inequalities
 
 # An inequality in oracle form: (coeffs, rhs, strict) meaning <a,x> >= rhs
 # (or > rhs when strict).  Equalities are split before use.
@@ -288,6 +293,72 @@ def fraction_constraints(p) -> tuple[Constraint, ...]:
         if prev is None or order[c.rel] < order[prev.rel]:
             seen[(c.coeffs, c.rhs)] = c
     return tuple(sorted(seen.values(), key=Constraint.sort_key))
+
+
+def emitted_closure(p, as_closed: bool = False):
+    """The topological closure of an NNC value, built by encoding its emitted
+    generators as ``from_generators`` would, closure points made points."""
+    target = Topology.CLOSED if as_closed else Topology.NNC
+    if p.is_empty():
+        return Polyhedron.empty(p.dim, target)
+    slack = () if as_closed else (0,)
+    rays = []
+    for g in p._emitted_gens():
+        if g.kind is GenKind.RAY:
+            rays.append((0, *g.coeffs, *slack))
+        elif as_closed:
+            rays.append((g.divisor, *g.coeffs))
+        else:
+            rays += [(g.divisor, *g.coeffs, g.divisor), (g.divisor, *g.coeffs, 0)]
+    return Polyhedron._from_rep_gens(p.dim, target, [], rays)
+
+
+def fraction_contains_point(p, point) -> bool:
+    """Membership of ``point`` (any rational coordinates) tested on the
+    minimized constraints of ``p`` in Fractions."""
+    if p.is_empty():
+        return False
+    coords = [Fraction(x) for x in point]
+    for c in p.minimized_constraints():
+        value = sum(a * x for a, x in zip(c.coeffs, coords)) - c.rhs
+        if c.rel is Rel.EQ and value != 0:
+            return False
+        if c.rel is Rel.GE and value < 0:
+            return False
+        if c.rel is Rel.GT and value <= 0:
+            return False
+    return True
+
+
+def fraction_eliminate(vectors, cols):
+    """Gauss-Jordan elimination in Fractions, one vector at a time: each
+    vector is reduced by the pivots before it and, if nonzero on ``cols``,
+    scaled to 1 at its first nonzero column there and cleared from the
+    other pivots.  Returns ``(pivots by column, rest)`` with every vector
+    scaled to coprime integers (a positive scale), zero vectors dropped."""
+    pivots: dict[int, list[Fraction]] = {}
+    rest = []
+    for v in vectors:
+        w = [Fraction(x) for x in v]
+        for c, p in pivots.items():
+            q = w[c]
+            w = [a - q * b for a, b in zip(w, p)]
+        if not any(w):
+            continue
+        col = next((c for c in cols if w[c]), None)
+        if col is None:
+            rest.append(w)
+            continue
+        w = [a / w[col] for a in w]
+        for c, p in pivots.items():
+            q = p[col]
+            pivots[c] = [a - q * b for a, b in zip(p, w)]
+        pivots[col] = w
+
+    def integers(w):
+        return _norm(fraction_scale_to_integers(w)[0])
+
+    return {c: integers(p) for c, p in pivots.items()}, [integers(w) for w in rest]
 
 
 def fm_empty(cs, dim: int) -> bool:

@@ -15,7 +15,6 @@ from polyinv.linalg import (
     evaluate,
     format_constraint,
     satisfies,
-    vector_gcd,
 )
 
 
@@ -61,14 +60,6 @@ def test_canonicalize_positive_scaling_invariant(coeffs, rhs, rel, num, den):
     base = canonicalize_constraint(coeffs, rel, rhs)
     scaled = canonicalize_constraint([lam * c for c in coeffs], rel, lam * rhs)
     assert base == scaled
-
-
-def test_vector_gcd_is_nonnegative_and_zero_without_information():
-    assert vector_gcd([]) == 0
-    assert vector_gcd([0, 0, 0]) == 0
-    assert vector_gcd([-4, 6, 0]) == 2
-    assert vector_gcd([-7]) == 7
-    assert vector_gcd(iter([-9, -12])) == 3
 
 
 def test_satisfies_examples():
