@@ -399,8 +399,15 @@ class NonConvergenceError(RuntimeError):
 
 
 def _source_flow(p: Polyhedron, act: Polyhedron) -> Polyhedron:
-    """closure(R) meet (R elapse Act): the strict-constraint correction."""
-    return p.topological_closure().intersection(p.time_elapse(act))
+    """closure(R) meet (R elapse Act): the strict-constraint correction.
+
+    A closed R is the meet when Act is nonempty: R lies inside R elapse
+    Act (t = 0).
+    """
+    closure = p.topological_closure()
+    if closure is p and not act.is_empty():
+        return p
+    return closure.intersection(p.time_elapse(act))
 
 
 def location_update(

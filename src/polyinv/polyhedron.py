@@ -31,6 +31,12 @@ there, so a description nobody reads is never computed, and operations
 that only rewrite rows never convert to test for emptiness.  A row
 system holds each row once, the first copy kept, and an intersection
 that adds no row to an operand returns that operand, generators and all.
+An intersection also returns an operand held only by generators when
+the other operand's held rows all hold on them: that is inclusion of the
+embeddings, read without a conversion, so the meet is that operand's
+cone.  The closure of an NNC value whose held rows have no slack
+coefficient but the two side rows is the value itself: those rows
+already encode the closure, its set times ``0 <= eps <= 1``.
 
 Not-necessarily-closed (NNC) polyhedra are embedded as closed polyhedra
 with one extra slack dimension ``eps``: a strict ``<a, x> > b`` becomes
@@ -558,11 +564,14 @@ class Polyhedron:
 
         Given the slack column ``eps``, a row with no variable part is
         skipped, the slack coefficient is dropped, and a strict row must
-        hold strictly on each point.
+        hold strictly on each point; skipping the pure-slack rows (an
+        empty value's ``0 >= 1`` among them) is why that path tests self
+        for emptiness.  Without ``eps`` every row is read, so rows that
+        all hold on a nonempty other make self nonempty.
         """
         if other.is_empty():
             return True
-        if self.is_empty():
+        if eps is not None and self.is_empty():
             return False
         lines, rays = other._gens_any()
         for vec, is_eq in self._rows_any():
@@ -687,6 +696,11 @@ class Polyhedron:
         self._check_compatible(other)
         if self._empty or other._empty:
             return Polyhedron.empty(self._dim, self._topology)
+        # a generator operand inside the other's rows is the meet, unconverted
+        if self._rows is None and other._rows is not None and other._rep_contains(self):
+            return self
+        if other._rows is None and self._rows is not None and self._rep_contains(other):
+            return other
         mine, theirs = self._rows_any(), other._rows_any()
         if set(mine).issuperset(theirs):  # adds no row: the same set, its generators kept
             return self
@@ -888,6 +902,8 @@ class Polyhedron:
         if self._topology is Topology.CLOSED:
             return self
         target = Topology.CLOSED if as_closed else Topology.NNC
+        if not as_closed and self._is_closed_rows():
+            return self
         if self.is_empty():
             return Polyhedron.empty(self._dim, target)
         # the embedding's generators with the slack dropped, or set to xi0 and
@@ -900,6 +916,14 @@ class Polyhedron:
             lifted = [[r[:cut] + (s,) for r in vecs for s in (r[0], 0)] for vecs in (lines, rays)]
         new_lines, new_rays = [list(dict.fromkeys(map(_norm, vecs))) for vecs in lifted]
         return Polyhedron._from_rep_gens(self._dim, target, new_lines, new_rays)
+
+    def _is_closed_rows(self) -> bool:
+        """Whether self holds rows, none with a slack coefficient but the side
+        rows: they encode the closure of the set times ``0 <= eps <= 1``."""
+        if self._rows is None:
+            return False
+        e, side = self._eps_col(), _side_rows(self._hom_dim)
+        return all(vec[e] == 0 for vec, is_eq in self._rows if (vec, is_eq) not in side)
 
     # -- dimension surgery --------------------------------------------------------
 

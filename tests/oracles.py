@@ -21,6 +21,9 @@ closure by a map of its minimal generators; ``fraction_contains_point``
 tests membership on the emitted constraints in Fractions, the reference
 for membership as inclusion; ``fraction_eliminate`` is Gauss-Jordan
 elimination in Fractions, the reference for the kernel's integer one.
+``rows_intersection`` meets two values by the union of their rows, the
+reference for the meet that returns a generator operand lying inside the
+other operand's rows.
 """
 
 from __future__ import annotations
@@ -311,6 +314,20 @@ def emitted_closure(p, as_closed: bool = False):
         else:
             rays += [(g.divisor, *g.coeffs, g.divisor), (g.divisor, *g.coeffs, 0)]
     return Polyhedron._from_rep_gens(p.dim, target, [], rays)
+
+
+def rows_intersection(p, q):
+    """The meet of two values by the union of their rows, each operand's
+    rows converted from its generators if it holds none, and an operand
+    returned when the other adds no row to it."""
+    if p._empty or q._empty:
+        return Polyhedron.empty(p.dim, p.topology)
+    mine, theirs = p._rows_any(), q._rows_any()
+    if set(mine).issuperset(theirs):
+        return p
+    if set(theirs).issuperset(mine):
+        return q
+    return Polyhedron._from_rep_rows(p.dim, p.topology, mine + theirs)
 
 
 def fraction_contains_point(p, point) -> bool:

@@ -219,15 +219,26 @@ class TestReach:
             run_cli("reach", water_path)
 
     @pytest.mark.parametrize(
-        "bits, options",
-        [(3, ()), (5, ("--domain", "powerset", "--delay", "2"))],
+        "bits, options, after_reach",
+        [(3, (), False), (4, ("--domain", "powerset", "--delay", "2"), True)],
         ids=["engine", "rendering"],
     )
     def test_coefficient_limit_is_an_engine_error(
-        self, scheduler_path, monkeypatch, bits, options
+        self, scheduler_path, monkeypatch, bits, options, after_reach
     ):
-        # at 5 bits the powerset run converges and its hull's emission overflows
-        monkeypatch.setattr(polyhedron, "_MAX_BITS", bits)
+        # "rendering" lowers the limit once the real reach has converged, so
+        # only the printing of the regions (the powerset hulls) can overflow
+        if after_reach:
+            real = cli.reach
+
+            def reach_then_limit(*args):
+                result = real(*args)
+                monkeypatch.setattr(polyhedron, "_MAX_BITS", bits)
+                return result
+
+            monkeypatch.setattr(cli, "reach", reach_then_limit)
+        else:
+            monkeypatch.setattr(polyhedron, "_MAX_BITS", bits)
         code, out, err = run_cli("reach", scheduler_path, *options)
         assert (code, out) == (2, "")
         assert err.endswith(f"engine error: coefficient exceeds POLYINV_MAX_BITS={bits}\n")

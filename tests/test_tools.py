@@ -4,6 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+from polyinv import polyhedron
+from polyinv.linalg import Constraint, Rel
+from polyinv.polyhedron import Polyhedron, Topology
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -71,3 +75,27 @@ def test_bench_pairs_claim_rule_needs_nine_tenths_and_a_gap_beyond_the_iqr(tmp_p
 def test_check_digests_rejects_an_unknown_workload(capsys):
     assert tool("check_digests").main(["reach-lah"]) == 2
     assert "unknown workload 'reach-lah'" in capsys.readouterr().out
+
+
+def test_check_digests_counts_the_conversions_of_runs_not_of_checks():
+    check_digests = tool("check_digests")
+
+    class Kind:
+        @staticmethod
+        def run(spec, prepared):
+            p = Polyhedron.from_constraints(2, Topology.CLOSED, prepared)
+            p.minimized_generators()  # one conversion, of three rows: x >= 0, y >= 0, 1 >= 0
+            return p, ""
+
+        @staticmethod
+        def check(spec, prepared, result):
+            result.minimized_constraints()  # the dual conversion, not counted
+            return []
+
+    conversions = check_digests.Conversions()
+    counted = check_digests.counting(Kind, conversions)
+    cs = [Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)]
+    result, _ = counted.run({}, cs)
+    assert counted.check({}, cs, result) == []
+    assert (conversions.calls, conversions.rows) == (1, 3)
+    assert polyhedron._dd_cone is conversions.real
