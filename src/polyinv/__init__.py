@@ -11,11 +11,9 @@ from .linalg import (
     DimensionError,
     GenKind,
     Generator,
-    LinExpr,
     Rel,
     SatResult,
     canonicalize_constraint,
-    evaluate,
     satisfies,
 )
 from .polyhedron import (
@@ -34,7 +32,6 @@ __all__ = [
     "GenKind",
     "Generator",
     "GeneratorSystemError",
-    "LinExpr",
     "PolySet",
     "Polyhedron",
     "Rel",
@@ -43,7 +40,6 @@ __all__ = [
     "TopologyError",
     "WideningPreconditionError",
     "canonicalize_constraint",
-    "evaluate",
     "satisfies",
     "standard_widening",
 ]

@@ -42,15 +42,18 @@ class AnalysisError(RuntimeError):
     """Internal engine failure (iteration caps exceeded)."""
 
 
+# the widening stabilizes every loop; one still moving after this many sweeps is an engine bug
+MAX_LOCAL_ITERATIONS = 64
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
     domain: str = "poly"  # 'poly' | 'powerset'
     delay: int = 0
     cap: int = 8
-    max_local_iterations: int = 64
 
     def __post_init__(self):
-        check_domain_options(self.domain, self.cap, self.delay, self.max_local_iterations)
+        check_domain_options(self.domain, self.cap, self.delay)
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,7 @@ def analyze(
         open_loops += 1
         head = store
         delay_left = opts.delay
-        for _ in range(opts.max_local_iterations):
+        for _ in range(MAX_LOCAL_ITERATIONS):
             result.entries[w.pid] = head
             body_out = eval_stmt(w.body, filter_store(head, w.cond, True, compiled))
             if body_out.leq(head):

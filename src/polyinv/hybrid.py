@@ -381,7 +381,9 @@ class ReachOptions:
     max_iter: int = 64
 
     def __post_init__(self):
-        check_domain_options(self.domain, self.cap, self.delay, self.max_iter)
+        check_domain_options(self.domain, self.cap, self.delay)
+        if self.max_iter < 1:
+            raise ValueError("iteration bound must be at least 1")
 
 
 @dataclass

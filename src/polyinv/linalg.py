@@ -1,10 +1,12 @@
-"""Exact rational linear algebra: expressions, constraints, generators.
+"""Exact rational linear algebra: constraints and generators.
 
 Everything downstream (the polyhedra kernel, the analyzers, the parsers)
 speaks the vocabulary defined here.  Coefficients are unbounded Python
-integers; user-facing scalars are :class:`fractions.Fraction`, and they
-enter only at the user boundary (parsed numbers, :class:`LinExpr`, points
-and bounds).  Constraints and generators are stored in a canonical
+integers, and an affine expression is the integer row ``(const, c_1..c_n)``
+that the parsers build and the kernel's images take.  User-facing scalars
+are :class:`fractions.Fraction`, and they enter only at the user boundary
+(points, bounds and the numbers a caller passes to the builders below).
+Constraints and generators are stored in a canonical
 cleared-denominator integer form, so syntactically equal values describe
 equal objects and output ordering is deterministic.  Canonicalization is
 integer arithmetic: an ``int`` or ``Fraction`` input is read through its
@@ -43,62 +45,6 @@ def scale_to_integers(values: Sequence) -> tuple[tuple[int, ...], int]:
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     mult = lcm(1, *[v.denominator for v in values])
     return tuple([v.numerator * (mult // v.denominator) for v in values]), mult
-
-
-@dataclass(frozen=True)
-class LinExpr:
-    """An affine expression ``<coeffs, x> + const`` over a fixed dimension."""
-
-    coeffs: tuple[Fraction, ...]
-    const: Fraction = Fraction(0)
-
-    @staticmethod
-    def constant(value, n: int) -> LinExpr:
-        return LinExpr((Fraction(0),) * n, Fraction(value))
-
-    @staticmethod
-    def variable(i: int, n: int) -> LinExpr:
-        if not 0 <= i < n:
-            raise DimensionError(f"variable index {i} out of range for dimension {n}")
-        coeffs = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        return LinExpr(coeffs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    def _check(self, other: LinExpr) -> None:
-        if self.dim != other.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: LinExpr) -> LinExpr:
-        self._check(other)
-        return LinExpr(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.const + other.const,
-        )
-
-    def __sub__(self, other: LinExpr) -> LinExpr:
-        self._check(other)
-        return LinExpr(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.const - other.const,
-        )
-
-    def __neg__(self) -> LinExpr:
-        return LinExpr(tuple(-a for a in self.coeffs), -self.const)
-
-    def scale(self, k) -> LinExpr:
-        k = Fraction(k)
-        return LinExpr(tuple(k * a for a in self.coeffs), k * self.const)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.dim:
-            raise DimensionError(f"point has {len(point)} coordinates, expected {self.dim}")
-        total = self.const
-        for a, v in zip(self.coeffs, point):
-            total += a * Fraction(v)
-        return total
 
 
 class Rel(Enum):
@@ -183,11 +129,6 @@ def canonicalize_constraint(coeffs: Sequence, rel, rhs=0) -> Constraint:
     return Constraint(tuple(acoeffs), arhs, stored)
 
 
-def constraint_from_exprs(lhs: LinExpr, rel: str, rhs: LinExpr) -> Constraint:
-    diff = lhs - rhs
-    return canonicalize_constraint(diff.coeffs, rel, -diff.const)
-
-
 class GenKind(Enum):
     POINT = "point"
     CLOSURE_POINT = "closure_point"
@@ -250,14 +191,10 @@ class Generator:
         return (_KIND_ORDER[self.kind], self.coeffs, self.divisor)
 
 
-def evaluate(expr: LinExpr, point: Sequence) -> Fraction:
-    return expr.evaluate(point)
-
-
 def satisfies(c: Constraint, g: Generator) -> SatResult:
     """Classify a generator against a constraint.
 
-    Points and closure points evaluate ``<a, v> rel b``; rays evaluate
+    Points and closure points are tested on ``<a, v> rel b``, rays on
     the homogeneous form ``<a, r> rel 0``.  SATURATES means the equality
     holds exactly; strictness interpretation is left to the caller.
     """

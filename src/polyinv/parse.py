@@ -20,7 +20,10 @@ the whole text:
     list       ::= [constraint (',' constraint)*]
 
 Callers provide the identifier-to-dimension mapping; a primed name
-such as `x'` is a variable only where the mapping has it.
+such as `x'` is a variable only where the mapping has it.  An `expr` is
+read into the integer row `(const, c_1..c_n)` that the kernel's images
+take, and a constraint is the canonical form of the difference of its
+two sides, so parsing builds no `Fraction`.
 
 Recursive parsers step into each nested construct with `Tokens.enter`,
 and text nested more than MAX_DEPTH levels deep is a ParseError, so no
@@ -31,9 +34,10 @@ depth of the tree it builds by the same constant.
 from __future__ import annotations
 
 import re
+from operator import sub
 from typing import Mapping, NoReturn, Sequence
 
-from .linalg import Constraint, LinExpr, constraint_from_exprs
+from .linalg import Constraint, canonicalize_constraint
 
 
 class ParseError(ValueError):
@@ -148,37 +152,33 @@ class Tokens:
         return out
 
 
-def _variable(ts: Tokens, var_index: Mapping[str, int], dim: int, what: str) -> LinExpr:
+def _term(ts: Tokens, var_index: Mapping[str, int]) -> tuple[int, int]:
+    """`(column, coefficient)`: column 0 for a constant, 1 + i for variable i."""
     tok = ts.peek()
+    coeff, what = 1, "a term"
+    if tok is not None and tok[0] == "int":
+        ts.take()
+        if not ts.accept("*"):
+            return 0, int(tok[1])
+        coeff, what, tok = int(tok[1]), "a variable after '*'", ts.peek()
     if tok is None or tok[0] != "name":
         ts.error(f"expected {what}")
     if tok[1] not in var_index:
         raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
     ts.take()
-    return LinExpr.variable(var_index[tok[1]], dim)
+    return 1 + var_index[tok[1]], coeff
 
 
-def _term(ts: Tokens, var_index: Mapping[str, int], dim: int) -> LinExpr:
-    tok = ts.peek()
-    if tok is None or tok[0] != "int":
-        return _variable(ts, var_index, dim, "a term")
-    ts.take()
-    if not ts.accept("*"):
-        return LinExpr.constant(int(tok[1]), dim)
-    return _variable(ts, var_index, dim, "a variable after '*'").scale(int(tok[1]))
-
-
-def linear_expr(ts: Tokens, var_index: Mapping[str, int], dim: int) -> LinExpr:
-    """`['-'] term (('+'|'-') term)*` at the cursor."""
-    negate = ts.accept("-")
-    acc = _term(ts, var_index, dim)
-    if negate:
-        acc = -acc
-    while ts.at("+") or ts.at("-"):
-        op = ts.take()[1]
-        rhs = _term(ts, var_index, dim)
-        acc = acc + rhs if op == "+" else acc - rhs
-    return acc
+def linear_expr(ts: Tokens, var_index: Mapping[str, int], dim: int) -> list[int]:
+    """`['-'] term (('+'|'-') term)*` at the cursor, as the row `(const, c_1..c_dim)`."""
+    row = [0] * (1 + dim)
+    sign = -1 if ts.accept("-") else 1
+    while True:
+        col, coeff = _term(ts, var_index)
+        row[col] += sign * coeff
+        if not (ts.at("+") or ts.at("-")):
+            return row
+        sign = 1 if ts.take()[1] == "+" else -1
 
 
 def _constraint(ts: Tokens, var_index: Mapping[str, int], dim: int) -> Constraint:
@@ -187,7 +187,8 @@ def _constraint(ts: Tokens, var_index: Mapping[str, int], dim: int) -> Constrain
     if tok is None or tok[1] not in _RELATIONS:
         ts.error("expected a relation")
     ts.take()
-    return constraint_from_exprs(lhs, tok[1], linear_expr(ts, var_index, dim))
+    rhs = linear_expr(ts, var_index, dim)
+    return canonicalize_constraint(list(map(sub, lhs[1:], rhs[1:])), tok[1], rhs[0] - lhs[0])
 
 
 def constraint_list(

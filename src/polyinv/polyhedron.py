@@ -50,7 +50,10 @@ universe, which pads rows.  Every image and projection (affine images,
 compiled affine maps, bounded images, removing and permuting dimensions
 of a value held by generators) is one generator map, ``_mapped``: each
 held line and ray goes through the operation's vector function, is
-normalized, and the zero vectors are dropped.
+normalized, and the zero vectors are dropped.  Affine and bounded images
+take each expression as an integer row ``(const, c_1..c_n)``; a rational
+update ``x_k := row / den`` is ``affine_map`` of an ``AffineMap`` with a
+universe guard, whose generator map gives the same vectors.
 Points of the embedding with positive slack project to points, points
 with zero slack project to closure points.  All public comparisons of
 NNC values are semantic (mutual inclusion of the encoded sets), never
@@ -95,7 +98,6 @@ from .linalg import (
     DimensionError,
     GenKind,
     Generator,
-    LinExpr,
     Rel,
     format_constraint,
     scale_to_integers,
@@ -754,39 +756,36 @@ class Polyhedron:
         new_rays = [w for w in map(_norm, map(image, rays)) if w is not None]
         return Polyhedron._from_rep_gens(dim, self._topology, new_lines, new_rays)
 
-    def _integerize_expr(self, expr: LinExpr | Sequence[int]) -> tuple[Sequence[int], int]:
-        """``(row, den)``: a row ``(const, c_1..c_n)`` as it is over 1, a LinExpr scaled."""
-        row, den = expr, 1
-        if isinstance(expr, LinExpr):
-            row, den = scale_to_integers((expr.const, *expr.coeffs))
-        if len(row) != 1 + self._dim:
-            raise DimensionError(f"expression of dimension {len(row) - 1}, expected {self._dim}")
-        return row, den
-
-    def affine_image(self, k: int, expr: LinExpr | Sequence[int]) -> Polyhedron:
-        """Exact image of ``x_k := expr(x)``, expr a LinExpr or an integer row."""
+    def _check_image(self, k: int, *rows: Sequence[int] | None) -> None:
+        """Reject a dimension ``k`` out of range, or a row ``(const, c_1..c_n)``
+        of another length."""
         if not 0 <= k < self._dim:
             raise DimensionError(f"dimension {k} out of range")
-        row, den = self._integerize_expr(expr)
+        for row in rows:
+            if row is not None and len(row) != 1 + self._dim:
+                n = len(row) - 1
+                raise DimensionError(f"expression of dimension {n}, expected {self._dim}")
+
+    def affine_image(self, k: int, row: Sequence[int]) -> Polyhedron:
+        """Exact image of ``x_k := c_0 + c_1 x_1 + .. + c_n x_n``, ``row`` the integers ``c``."""
+        self._check_image(k, row)
 
         def image(vec: Vec) -> list[int]:
-            out = list(vec) if den == 1 else [den * x for x in vec]
+            out = list(vec)
             out[1 + k] = _dot(row, vec)
             return out
 
         return self._mapped(self._dim, image)
 
-    def affine_preimage(self, k: int, expr: LinExpr | Sequence[int]) -> Polyhedron:
-        """Exact preimage of the single-update map ``x_k := expr(x)``."""
-        if not 0 <= k < self._dim:
-            raise DimensionError(f"dimension {k} out of range")
-        row, den = self._integerize_expr(expr)
+    def affine_preimage(self, k: int, row: Sequence[int]) -> Polyhedron:
+        """Exact preimage of the single-update map ``x_k := row(x)``."""
+        self._check_image(k, row)
         if self._empty:
             return self
         col = 1 + k
         rows = []
-        for vec, is_eq in self._rows_any():  # den * vec with x_k replaced by row / den
-            out = [den * x for x in vec]
+        for vec, is_eq in self._rows_any():  # vec with x_k replaced by row
+            out = list(vec)
             out[col] = 0
             for i, a in enumerate(row):
                 out[i] += vec[col] * a
@@ -796,23 +795,21 @@ class Polyhedron:
         return Polyhedron._from_rep_rows(self._dim, self._topology, rows)
 
     def bounded_affine_image(
-        self, k: int, lo: LinExpr | Sequence[int] | None, hi: LinExpr | Sequence[int] | None
+        self, k: int, lo: Sequence[int] | None, hi: Sequence[int] | None
     ) -> Polyhedron:
-        """Exact image of ``lo(x) <= x_k' <= hi(x)`` (identity elsewhere).
+        """Exact image of ``lo(x) <= x_k' <= hi(x)`` (identity elsewhere), bounds as rows.
 
         A fresh last dimension w is bounded by ``lo`` and ``hi``; one
         projection then drops x_k and moves w into slot k.
         """
-        if not 0 <= k < self._dim:
-            raise DimensionError(f"dimension {k} out of range")
-        bounds = [(s, self._integerize_expr(e)) for s, e in ((1, lo), (-1, hi)) if e is not None]
+        self._check_image(k, lo, hi)
         if self.is_empty():
             return self
         n = self._dim
         tail = (0,) * (self._rep_dim - n)
-        # s * (den * w - row(x)) >= 0: w >= lo(x) for s = 1, w <= hi(x) for s = -1
-        rows = [(_norm((*(-s * a for a in row), s * den, *tail)), False)
-                for s, (row, den) in bounds]
+        # s * (w - row(x)) >= 0: w >= lo(x) for s = 1, w <= hi(x) for s = -1
+        rows = [(_norm((*(-s * a for a in row), s, *tail)), False)
+                for s, row in ((1, lo), (-1, hi)) if row is not None]
         bounded = Polyhedron._from_rep_rows(n + 1, self._topology, rows)
         q = self.add_dimensions(1).intersection(bounded)
         return q._mapped(n, _columns([*range(1 + k), 1 + n, *range(2 + k, 1 + n)], 2 + n))

@@ -106,17 +106,14 @@ class PolySet:
         return f"<polyset dim={self.dim} |{len(self.elements)}|>"
 
 
-def check_domain_options(domain: str, cap: int, delay: int, max_iter: int) -> None:
-    """Reject an unknown domain name, a powerset cap or an iteration
-    bound below 1, or a negative widening delay."""
+def check_domain_options(domain: str, cap: int, delay: int) -> None:
+    """Reject an unknown domain name, a powerset cap below 1 or a negative widening delay."""
     if domain not in ("poly", "powerset"):
         raise ValueError(f"unknown domain {domain!r}")
     if cap < 1:
         raise ValueError("powerset cap must be at least 1")
     if delay < 0:
         raise ValueError("widening delay must not be negative")
-    if max_iter < 1:
-        raise ValueError("iteration bound must be at least 1")
 
 
 def lift(p: Polyhedron, domain: str) -> Polyhedron | PolySet:

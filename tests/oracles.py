@@ -23,7 +23,9 @@ for membership as inclusion; ``fraction_eliminate`` is Gauss-Jordan
 elimination in Fractions, the reference for the kernel's integer one.
 ``rows_intersection`` meets two values by the union of their rows, the
 reference for the meet that returns a generator operand lying inside the
-other operand's rows.
+other operand's rows.  ``fraction_constraint`` reads one constraint of
+the shared grammar with every expression a pair ``(coeffs, const)`` of
+Fractions, the reference for the parser's integer rows.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from polyinv.linalg import Constraint, GenKind, Rel
+from polyinv.linalg import Constraint, DimensionError, GenKind, Rel
+from polyinv.parse import ParseError
 from polyinv.polyhedron import Polyhedron, Topology, _dot, _norm, _split_inequalities
 
 # An inequality in oracle form: (coeffs, rhs, strict) meaning <a,x> >= rhs
@@ -444,3 +447,57 @@ def random_rational_point(rng: random.Random, dim: int, bound: int = 12):
     return tuple(
         Fraction(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(dim)
     )
+
+
+# The constraint grammar in Fractions, an expression a pair (coeffs, const):
+# the bodies ``parse._term``, ``linear_expr`` and ``_constraint`` had before
+# they built integer rows.
+
+def _fraction_variable(ts, var_index, dim, what):
+    tok = ts.peek()
+    if tok is None or tok[0] != "name":
+        ts.error(f"expected {what}")
+    if tok[1] not in var_index:
+        raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
+    ts.take()
+    i = var_index[tok[1]]
+    if not 0 <= i < dim:
+        raise DimensionError(f"variable index {i} out of range for dimension {dim}")
+    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim)), Fraction(0)
+
+
+def _fraction_term(ts, var_index, dim):
+    tok = ts.peek()
+    if tok is None or tok[0] != "int":
+        return _fraction_variable(ts, var_index, dim, "a term")
+    ts.take()
+    if not ts.accept("*"):
+        return (Fraction(0),) * dim, Fraction(int(tok[1]))
+    coeffs, const = _fraction_variable(ts, var_index, dim, "a variable after '*'")
+    k = Fraction(int(tok[1]))
+    return tuple(k * a for a in coeffs), k * const
+
+
+def fraction_linear_expr(ts, var_index, dim):
+    """``['-'] term (('+'|'-') term)*`` at the cursor, as ``(coeffs, const)``."""
+    negate = ts.accept("-")
+    coeffs, const = _fraction_term(ts, var_index, dim)
+    if negate:
+        coeffs, const = tuple(-a for a in coeffs), -const
+    while ts.at("+") or ts.at("-"):
+        sign = 1 if ts.take()[1] == "+" else -1
+        more, k = _fraction_term(ts, var_index, dim)
+        coeffs, const = tuple(a + sign * b for a, b in zip(coeffs, more)), const + sign * k
+    return coeffs, const
+
+
+def fraction_constraint(ts, var_index, dim) -> Constraint:
+    """``expr rel expr`` at the cursor, canonicalized through Fractions."""
+    lhs, lconst = fraction_linear_expr(ts, var_index, dim)
+    tok = ts.peek()
+    if tok is None or tok[1] not in ("<", "<=", "=", ">=", ">"):
+        ts.error("expected a relation")
+    ts.take()
+    rhs, rconst = fraction_linear_expr(ts, var_index, dim)
+    diff = [a - b for a, b in zip(lhs, rhs)]
+    return fraction_canonicalize_constraint(diff, tok[1], rconst - lconst)

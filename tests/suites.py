@@ -11,7 +11,7 @@ import random
 
 from polyinv.analyzer import AbstractStore, AnalysisOptions, analyze
 from polyinv.imp import DIVERGENCE, exec_program, parse_program
-from polyinv.linalg import LinExpr, canonicalize_constraint
+from polyinv.linalg import canonicalize_constraint
 from polyinv.polyhedron import Polyhedron, Topology, standard_widening
 
 from .oracles import fm_empty, fm_includes, random_constraints, random_rational_point
@@ -113,7 +113,7 @@ def widening_chain_suite(rng: random.Random, count: int) -> int:
         if base.is_empty():
             continue
         k = rng.randrange(dim)
-        shift = LinExpr.variable(k, dim) + LinExpr.constant(rng.randint(1, 3), dim)
+        shift = [rng.randint(1, 3), *(int(i == k) for i in range(dim))]  # x_k + c
 
         def f(p):
             return p.affine_image(k, shift)

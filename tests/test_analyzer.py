@@ -2,8 +2,10 @@
 
 import pytest
 
+from polyinv import analyzer
 from polyinv.analyzer import (
     AbstractStore,
+    AnalysisError,
     AnalysisOptions,
     abstract_assign,
     abstract_eval_aexp,
@@ -163,6 +165,13 @@ class TestAnalyze:
         )
         res = analyze(prog, AbstractStore.top(("i", "j")))
         assert res.exit_store is not None
+
+    def test_a_loop_past_the_sweep_bound_is_an_engine_error(self, monkeypatch):
+        prog = parse_program(LOOP)
+        assert analyze(prog, store("x0>=1, x1=1")).widenings == 1  # two sweeps
+        monkeypatch.setattr(analyzer, "MAX_LOCAL_ITERATIONS", 1)
+        with pytest.raises(AnalysisError, match="failed to stabilize"):
+            analyze(prog, store("x0>=1, x1=1"))
 
     def test_powerset_domain_runs_loop(self):
         prog = parse_program(LOOP)

@@ -96,19 +96,12 @@ def _half_plane(topology=NNC):
     return Polyhedron.from_constraints(2, topology, cs)
 
 
-def test_contains_point_builds_no_fraction_for_int_coordinates(monkeypatch):
+def test_contains_point_builds_no_fraction_for_int_coordinates(fractions_built):
     p = _half_plane()
-    made = []
-    original = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    fractions_built.clear()
     assert p.contains_point((1, 0))
     assert not p.contains_point((0, 3))
-    assert made == []
+    assert fractions_built == []
 
 
 def test_contains_point_reads_fraction_and_float_coordinates():

@@ -16,7 +16,6 @@ import io
 import itertools
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -159,21 +158,13 @@ while i < j do {
 """
 
 
-def test_affine_analysis_builds_no_fraction(monkeypatch):
+def test_affine_analysis_builds_no_fraction(fractions_built):
     program = parse_program(AFFINE_PROGRAM)
     initial = AbstractStore.top(program.variables)
-    built = []
-    original = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
+    fractions_built.clear()
     result = analyze(program, initial, AnalysisOptions(delay=1))
-    monkeypatch.setattr(Fraction, "__new__", original)
     assert result.widenings + result.delayed_joins >= 2  # the loop body ran more than once
-    assert built == []
+    assert fractions_built == []
 
 
 def test_each_statement_compiles_once(monkeypatch):

@@ -1,6 +1,7 @@
 """The image and dimension operations against Fourier-Motzkin projection.
 
-``affine_image``, ``bounded_affine_image``, ``remove_dimensions`` and
+``affine_image`` (a rational update through ``affine_map`` with a
+universe guard), ``bounded_affine_image``, ``remove_dimensions`` and
 ``map_dimensions`` on a value held by generators map those generators
 through one loop, ``time_elapse`` adds the rates as rays, and
 ``add_dimensions`` and ``concatenate`` pad rows.  Each result must
@@ -18,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyinv.linalg import LinExpr
-from polyinv.polyhedron import Polyhedron, Topology
+from polyinv.polyhedron import AffineMap, Polyhedron, Topology
 
 from .oracles import constraints_to_ineqs, fm_feasible, fm_generated, fm_project, fm_same_set
 from .test_nnc_inclusion import constraints, generators
@@ -42,11 +42,9 @@ def operands(draw, d, topology):
 
 
 @st.composite
-def exprs(draw, d):
-    def rational():
-        return Fraction(draw(SMALL), draw(st.integers(1, 3)))
-
-    return LinExpr(tuple(rational() for _ in range(d)), rational())
+def int_rows(draw, d):
+    """An integer row ``(const, c_1..c_d)``."""
+    return tuple(draw(SMALL) for _ in range(d + 1))
 
 
 def pad(rows, left, right):
@@ -56,24 +54,32 @@ def pad(rows, left, right):
 # Each operation draws its arguments, applies them to the value p of
 # dimension d with oracle rows, and returns the result and its oracle rows.
 
-def image(draw, p, rows, d):
-    k, e = draw(st.integers(0, d - 1)), draw(exprs(d))
-    # a fresh last variable y = e(x), then x_k projected away and y moved to slot k
-    y = [((*(-a for a in e.coeffs), 1), e.const, False), ((*e.coeffs, -1), -e.const, False)]
+def image(draw, p, cs, d):
+    k, (const, *coeffs) = draw(st.integers(0, d - 1)), draw(int_rows(d))
+    den = draw(st.integers(1, 3))
+    # a fresh last variable y = e(x) / den, then x_k projected away and y moved to slot k
+    y = [((*(-a for a in coeffs), den), const, False), ((*coeffs, -den), -const, False)]
     keep = [*range(k), d, *range(k + 1, d)]
-    return p.affine_image(k, e), fm_project(pad(rows, 0, 1) + y, d + 1, keep)
+    oracle = fm_project(pad(cs, 0, 1) + y, d + 1, keep)
+    if den == 1:
+        return p.affine_image(k, (const, *coeffs)), oracle
+    # x_k := e(x) / den, every other x_j := den * x_j / den
+    matrix = [tuple(den * (i == 1 + j) for i in range(d + 1)) for j in range(d)]
+    matrix[k] = (const, *coeffs)
+    guard = Polyhedron.universe(d, p.topology)
+    return p.affine_map(AffineMap(guard, tuple(matrix), den)), oracle
 
 
-def bounded_image(draw, p, rows, d):
+def bounded_image(draw, p, cs, d):
     k = draw(st.integers(0, d - 1))
-    lo, hi = draw(st.none() | exprs(d)), draw(st.none() | exprs(d))
+    lo, hi = draw(st.none() | int_rows(d)), draw(st.none() | int_rows(d))
     bounds = []  # lo(x) <= y <= hi(x) for a fresh last variable y
     if lo is not None:
-        bounds.append(((*(-a for a in lo.coeffs), 1), lo.const, False))
+        bounds.append(((*(-a for a in lo[1:]), 1), lo[0], False))
     if hi is not None:
-        bounds.append(((*hi.coeffs, -1), -hi.const, False))
+        bounds.append(((*hi[1:], -1), -hi[0], False))
     keep = [*range(k), d, *range(k + 1, d)]
-    oracle = fm_project(pad(rows, 0, 1) + bounds, d + 1, keep)
+    oracle = fm_project(pad(cs, 0, 1) + bounds, d + 1, keep)
     return p.bounded_affine_image(k, lo, hi), oracle
 
 

@@ -151,20 +151,6 @@ def test_other_numbers_are_still_read_as_fractions():
 # No Fraction, no conversion
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def fractions_built(monkeypatch):
-    """A list that grows by one for each ``Fraction(...)`` call."""
-    calls = []
-    original = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        calls.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    return calls
-
-
 @pytest.mark.parametrize(
     "build",
     [

@@ -8,11 +8,9 @@ from polyinv.linalg import (
     DimensionError,
     GenKind,
     Generator,
-    LinExpr,
     Rel,
     SatResult,
     canonicalize_constraint,
-    evaluate,
     format_constraint,
     satisfies,
 )
@@ -84,12 +82,6 @@ def test_satisfies_dimension_mismatch():
         satisfies(c, Generator.point([1, 2]))
 
 
-def test_evaluate():
-    e = LinExpr((Fraction(2), Fraction(3)), Fraction(-5))
-    assert evaluate(e, [1, 1]) == 0
-    assert evaluate(e, [Fraction(1, 2), 2]) == 2
-
-
 def test_generator_normalization():
     g = Generator.point([2, 4], 2)
     assert g.coeffs == (1, 2) and g.divisor == 1
@@ -103,13 +95,6 @@ def test_generator_point_fraction_coords():
     g = Generator.point([Fraction(1, 2), Fraction(3, 2)])
     assert g.coeffs == (1, 3) and g.divisor == 2
     assert g.coordinates() == (Fraction(1, 2), Fraction(3, 2))
-
-
-def test_linexpr_arithmetic():
-    x0 = LinExpr.variable(0, 2)
-    x1 = LinExpr.variable(1, 2)
-    e = x0.scale(2) + x1.scale(3) - LinExpr.constant(5, 2)
-    assert e.coeffs == (2, 3) and e.const == -5
 
 
 def test_format_constraint():

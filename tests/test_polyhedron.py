@@ -10,7 +10,7 @@ import pytest
 
 from polyinv import polyhedron
 from polyinv.linalg import (
-    DimensionError, GenKind, Generator, LinExpr, Rel, canonicalize_constraint,
+    DimensionError, GenKind, Generator, Rel, canonicalize_constraint,
 )
 from polyinv.parse import parse_constraints
 from polyinv.polyhedron import (
@@ -260,56 +260,51 @@ class TestLattice:
 class TestImages:
     def test_affine_image_paper_steps(self):
         p0 = poly("x0>=1, x1=1")
-        x0 = LinExpr.variable(0, 2)
-        x1 = LinExpr.variable(1, 2)
-        two = LinExpr.constant(2, 2)
-        p0p = p0.affine_image(1, x1 + two)
+        p0p = p0.affine_image(1, [2, 0, 1])  # x1 := x1 + 2
         assert p0p.equals(poly("x0>=1, x1=3"))
-        p1 = p0p.affine_image(0, x0 - x1)
+        p1 = p0p.affine_image(0, [0, 1, -1])  # x0 := x0 - x1
         assert p1.equals(poly("x0>=-2, x1=3"))
 
     def test_affine_image_identity(self):
         p = poly("2*x0+3*x1>=5, x1>=1")
-        assert p.affine_image(0, LinExpr.variable(0, 2)).equals(p)
+        assert p.affine_image(0, [0, 1, 0]).equals(p)
 
     def test_affine_preimage_inverts_image(self):
         p = poly("x0>=1, x1=3")
-        e = LinExpr.variable(0, 2) - LinExpr.variable(1, 2)
+        e = [0, 1, -1]  # x0 - x1
         img = p.affine_image(0, e)
         assert img.affine_preimage(0, e).equals(p)
 
     def test_affine_preimage_of_constant_assignment(self):
         p = poly("x0=5, x1>=0")
-        pre = p.affine_preimage(0, LinExpr.constant(5, 2))
+        pre = p.affine_preimage(0, [5, 0, 0])
         assert pre.equals(poly("x1>=0"))
 
     def test_bounded_affine_image_constant_bounds(self):
         p = poly("x0=0, x1=0")
-        q = p.bounded_affine_image(1, LinExpr.constant(0, 2), LinExpr.constant(1, 2))
+        q = p.bounded_affine_image(1, [0, 0, 0], [1, 0, 0])
         assert q.equals(poly("x0=0, x1>=0, x1<=1"))
 
     def test_bounded_affine_image_degenerate_equals_affine(self):
         p = poly("x0>=1, x1=1")
-        e = LinExpr.variable(1, 2) + LinExpr.constant(2, 2)
+        e = [2, 0, 1]  # x1 + 2
         assert p.bounded_affine_image(1, e, e).equals(p.affine_image(1, e))
 
     def test_bounded_affine_image_interval_shift(self):
         p = poly("x0=0, x1=0")
-        x0 = LinExpr.variable(0, 2)
-        one = LinExpr.constant(1, 2)
-        q = p.bounded_affine_image(0, x0, x0 + one)
+        q = p.bounded_affine_image(0, [0, 1, 0], [1, 1, 0])  # x0 <= x0' <= x0 + 1
         assert q.equals(poly("x0>=0, x0<=1, x1=0"))
 
     def test_bounded_affine_image_unbounded_side(self):
         p = poly("x0=0, x1=0")
-        q = p.bounded_affine_image(0, LinExpr.variable(0, 2), None)
+        q = p.bounded_affine_image(0, [0, 1, 0], None)
         assert q.equals(poly("x0>=0, x1=0"))
 
     @pytest.mark.parametrize("side", ["lo", "hi"])
     @pytest.mark.parametrize("value", [Polyhedron.empty(2), Polyhedron.universe(2)])
     def test_bounded_affine_image_checks_bound_dimensions(self, value, side):
         # an empty value too: the check comes before the emptiness shortcut
-        wrong = LinExpr.constant(0, 5)
+        wrong = [0] * 6  # a row over 5 variables
         bounds = (wrong, None) if side == "lo" else (None, wrong)
         with pytest.raises(DimensionError, match="expression of dimension 5, expected 2"):
             value.bounded_affine_image(0, *bounds)

@@ -7,14 +7,12 @@ row system with no repeated row, and every result must equal the same
 chain run on constraint lists, decided by the Fourier-Motzkin oracles.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyinv import polyhedron
-from polyinv.linalg import Constraint, LinExpr, Rel, canonicalize_constraint
+from polyinv.linalg import Constraint, Rel, canonicalize_constraint
 from polyinv.parse import parse_constraints
 from polyinv.polyhedron import Polyhedron, Topology
 
@@ -57,13 +55,14 @@ def pad(cs, left, right):
     return [Constraint((0,) * left + c.coeffs + (0,) * right, c.rhs, c.rel) for c in cs]
 
 
-def preimage(cs, k, expr):
+def preimage(cs, k, row):
+    const, *expr = row
     out = []
     for c in cs:
         ak = c.coeffs[k]
-        coeffs = [a + ak * e for a, e in zip(c.coeffs, expr.coeffs)]
-        coeffs[k] = ak * expr.coeffs[k]
-        out.append(canonicalize_constraint(coeffs, c.rel, c.rhs - ak * expr.const))
+        coeffs = [a + ak * e for a, e in zip(c.coeffs, expr)]
+        coeffs[k] = ak * expr[k]
+        out.append(canonicalize_constraint(coeffs, c.rel, c.rhs - ak * const))
     return out
 
 
@@ -100,8 +99,9 @@ def chains(draw):
             p = p.intersection(q) if draw(st.booleans()) else q.intersection(p)
         elif op == "preimage":
             k = draw(st.integers(0, d - 1))
-            expr = LinExpr(tuple(Fraction(x) for x in draw(vectors(d))), Fraction(draw(SMALL)))
-            p, cs = p.affine_preimage(k, expr), preimage(cs, k, expr)
+            coeffs = draw(vectors(d))
+            row = (draw(SMALL), *coeffs)
+            p, cs = p.affine_preimage(k, row), preimage(cs, k, row)
         elif op == "permute":
             perm = draw(st.permutations(range(d)))
             p, cs = p.map_dimensions(perm), permute(cs, perm)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from polyinv import polyhedron
@@ -93,9 +94,37 @@ def test_check_digests_counts_the_conversions_of_runs_not_of_checks():
             return []
 
     conversions = check_digests.Conversions()
-    counted = check_digests.counting(Kind, conversions)
+    counted = check_digests.counting(Kind, conversions, check_digests.Fractions())
     cs = [Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)]
     result, _ = counted.run({}, cs)
     assert counted.check({}, cs, result) == []
     assert (conversions.calls, conversions.rows) == (1, 3)
     assert polyhedron._dd_cone is conversions.real
+
+
+def test_check_digests_counts_the_fractions_of_set_up_and_runs_not_of_checks():
+    check_digests = tool("check_digests")
+    original = Fraction.__dict__["__new__"]
+
+    class Kind:
+        @staticmethod
+        def prepare(spec):
+            return [Fraction(1, 2), Fraction(3)]
+
+        @staticmethod
+        def run(spec, prepared):
+            return Fraction(5, 7), ""
+
+        @staticmethod
+        def check(spec, prepared, result):
+            Fraction(2, 3)  # not counted
+            return []
+
+    fractions = check_digests.Fractions()
+    counted = check_digests.counting(Kind, check_digests.Conversions(), fractions)
+    with fractions.counting("prepare"):
+        prepared = counted.prepare({})
+    result, _ = counted.run({}, prepared)
+    assert counted.check({}, prepared, result) == []
+    assert fractions.built == {"prepare": 2, "run": 1}
+    assert Fraction.__dict__["__new__"] is original and result == Fraction(5, 7)

@@ -7,13 +7,19 @@ oracle checks on, and compares every item's rendered output with its
 digest in ``perfbench/digests.json``.  Prints each failing item and
 exits 1 if any item failed; it measures no benchmark metric.  It also
 prints how many conversions (``_dd_cone`` calls) the items ran and how
-many rows they were given, the oracle checks not counted.
+many rows they were given, and how many ``Fraction`` objects their
+set-up (``prepare``) and their runs constructed, the oracle checks not
+counted.  From Python 3.12 on ``Fraction`` arithmetic makes its results
+without ``Fraction.__new__``, so the count covers constructions only;
+before 3.12 it also counts each arithmetic result.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -36,15 +42,38 @@ class Conversions:
         return self.real(dim, rows)
 
 
-def counting(kind, conversions: Conversions):
-    """``kind`` with its items' runs, and not its checks, counted by ``conversions``."""
+class Fractions:
+    """Counts ``Fraction(...)`` constructions by phase, inside ``counting(phase)``."""
+
+    def __init__(self):
+        self.built = {"prepare": 0, "run": 0}
+
+    @contextmanager
+    def counting(self, phase: str):
+        real = Fraction.__dict__["__new__"]
+
+        def counted(cls, *args, **kwargs):
+            self.built[phase] += 1
+            return real.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            yield
+        finally:
+            Fraction.__new__ = real
+
+
+def counting(kind, conversions: Conversions, fractions: Fractions):
+    """``kind`` with its items' runs, and not its checks, counted by
+    ``conversions`` and ``fractions``."""
 
     class Counted(kind):
         @staticmethod
         def run(spec, prepared):
             polyhedron._dd_cone = conversions
             try:
-                return kind.run(spec, prepared)
+                with fractions.counting("run"):
+                    return kind.run(spec, prepared)
             finally:
                 polyhedron._dd_cone = conversions.real
 
@@ -52,17 +81,20 @@ def counting(kind, conversions: Conversions):
 
 
 def check(workload: str) -> int:
-    kind, conversions = harness.KINDS[workload], Conversions()
+    kind, conversions, fractions = harness.KINDS[workload], Conversions(), Fractions()
     specs = inputs.pool(workload)
     t0 = time.perf_counter()
-    prepared = [kind.prepare(s) for s in specs]
-    p = harness.run_pass(counting(kind, conversions), specs, prepared, harness.TIMEOUTS[workload],
-                         check=True, expected=harness.load_digests())
+    with fractions.counting("prepare"):
+        prepared = [kind.prepare(s) for s in specs]
+    p = harness.run_pass(counting(kind, conversions, fractions), specs, prepared,
+                         harness.TIMEOUTS[workload], check=True, expected=harness.load_digests())
     for i, why in sorted(p.failures.items()):
         print(f"{workload} {specs[i]['key']}: {why}")
     print(f"{workload}: {len(specs)} items, {len(p.failures)} failed "
           f"({time.perf_counter() - t0:.1f} s)")
     print(f"{workload}: {conversions.calls} _dd_cone calls on {conversions.rows} rows")
+    print(f"{workload}: {fractions.built['prepare']} Fraction constructions in set-up, "
+          f"{fractions.built['run']} in runs")
     return len(p.failures)
 
 
