@@ -35,7 +35,8 @@ from . import imp
 from .domains import Interval, int_arith
 from .linalg import Constraint, Rel, canonicalize_constraint
 from .polyhedron import Polyhedron, Topology
-from .powerset import PolySet, check_domain_options, lift
+# the analyzer's options are the domain options: name, widening delay and cap
+from .powerset import DomainOptions as AnalysisOptions, PolySet, lift
 
 
 class AnalysisError(RuntimeError):
@@ -44,16 +45,6 @@ class AnalysisError(RuntimeError):
 
 # the widening stabilizes every loop; one still moving after this many sweeps is an engine bug
 MAX_LOCAL_ITERATIONS = 64
-
-
-@dataclass(frozen=True)
-class AnalysisOptions:
-    domain: str = "poly"  # 'poly' | 'powerset'
-    delay: int = 0
-    cap: int = 8
-
-    def __post_init__(self):
-        check_domain_options(self.domain, self.cap, self.delay)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ an n-dimensional guard and a map x' = (A x + b) / den, and psi_P meets the
 guard and maps generators in n dimensions; any other relation, such as
 `x' >= 0`, keeps the general image through 2n dimensions.  Iteration
 sweeps the locations in file order using the freshest values (so one
-sweep propagates along a whole path), and widening is applied at the
-configured cut locations; convergence is semantic per-location equality
-against the previous sweep, and every converged result is re-checked to
-be a post-fixpoint.
+sweep propagates along a whole path).  A location changes exactly when
+its right-hand side is not included in its current region; only then is
+the join computed, and widened at the configured cut locations.  A
+sweep that changes no location is the fixpoint, and every converged
+result is re-checked to be a post-fixpoint.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .parse import ParseError, Tokens, constraint_list, relation_index
 from .polyhedron import AffineMap, Polyhedron, Topology
 # re-exported: perfbench/test_perfbench.py reads hybrid.standard_widening
 from .polyhedron import standard_widening  # noqa: F401
-from .powerset import PolySet, check_domain_options, lift
+from .powerset import DomainOptions, PolySet, lift
 
 Region = Polyhedron | PolySet
 
@@ -374,14 +375,11 @@ def parallel_compose(first: HybridAutomaton, second: HybridAutomaton) -> HybridA
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReachOptions:
-    domain: str = "poly"  # 'poly' | 'powerset'
-    delay: int = 0
-    cap: int = 8
+class ReachOptions(DomainOptions):
     max_iter: int = 64
 
     def __post_init__(self):
-        check_domain_options(self.domain, self.cap, self.delay)
+        super().__post_init__()
         if self.max_iter < 1:
             raise ValueError("iteration bound must be at least 1")
 
@@ -436,8 +434,9 @@ def location_update(
         memo = entries.get(i)
         if memo is None or memo[0] is not source:
             act = h.location(t.source).rate
-            flowed = source.lift_image(lambda p: _source_flow(p, act))
-            entry = flowed.lift_image(lambda p: t.image(p).intersection(loc.invariant))
+            entry = source.lift_image(
+                lambda p: t.image(_source_flow(p, act)).intersection(loc.invariant)
+            )
             memo = entries[i] = (source, entry)
         inc = inc.join(memo[1])
     return inc.lift_image(lambda p: p.time_elapse(loc.rate).intersection(loc.invariant))
@@ -449,43 +448,38 @@ def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResul
     Sweeps use the freshest values within the sweep (file order), so a
     value propagates along an entire acyclic path in one sweep; the
     widening set defaults to depth-first back-edge targets when the
-    automaton does not specify one.
+    automaton does not specify one.  A location changes exactly when
+    F(l) is not below its region: the join, and past the delay at a cut
+    location its widening, are upper bounds of F(l), so they cannot lie
+    below the region then.  Each location is tested once per sweep.
     """
     warnings = h.validate()
     widen_at = h.widen_at if h.widen_at else h.default_widen_set()
     bottom = lift(Polyhedron.empty(h.dim, Topology.NNC), opts.domain)
     regions: dict[str, Region] = {l.name: bottom for l in h.locations}
-    iterations = 0
-    converged = False
     entries: dict[int, tuple[Region, Region]] = {}  # shared by all sweeps
     for sweep in range(1, opts.max_iter + 1):
-        iterations = sweep
         changed = False
         for loc in h.locations:
             f_value = location_update(h, loc.name, regions, opts.domain, entries=entries)
             old = regions[loc.name]
+            if f_value.entails(old):
+                continue
+            new = old.join(f_value)
             if loc.name in widen_at and sweep > opts.delay:
-                if f_value.entails(old):
-                    new = old
-                else:
-                    new = old.widen(old.join(f_value), opts.cap)
-            else:
-                new = old.join(f_value)
-            # new is an upper bound of old, so it differs iff it is not below old
-            if not new.entails(old):
-                changed = True
-                regions[loc.name] = new
+                new = old.widen(new, opts.cap)
+            regions[loc.name] = new
+            changed = True
         if not changed:
-            converged = True
             break
-    result = ReachResult(regions, iterations, converged, warnings)
-    if not converged:
+    else:
         raise NonConvergenceError(
-            f"no fixpoint after {opts.max_iter} sweeps", result
+            f"no fixpoint after {opts.max_iter} sweeps",
+            ReachResult(regions, opts.max_iter, False, warnings),
         )
     # post-fixpoint certificate: one more independent evaluation per location
     for loc in h.locations:
         check = location_update(h, loc.name, regions, opts.domain)
         if not check.entails(regions[loc.name]):
             raise AssertionError(f"converged result is not a post-fixpoint at {loc.name}")
-    return result
+    return ReachResult(regions, sweep, True, warnings)

@@ -12,11 +12,13 @@ termination guarantee.
 (``is_bottom``, ``join``, ``entails``, ``equals``, ``widen(newer, cap)``
 and ``lift_image(op)``), so the analyzer and the reach engine run
 unchanged over either domain; ``lift`` is the one place that turns a
-domain name into a region.
+domain name into a region, and ``DomainOptions`` the one place that
+checks a domain name and the options that go with it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .linalg import DimensionError
@@ -106,14 +108,21 @@ class PolySet:
         return f"<polyset dim={self.dim} |{len(self.elements)}|>"
 
 
-def check_domain_options(domain: str, cap: int, delay: int) -> None:
-    """Reject an unknown domain name, a powerset cap below 1 or a negative widening delay."""
-    if domain not in ("poly", "powerset"):
-        raise ValueError(f"unknown domain {domain!r}")
-    if cap < 1:
-        raise ValueError("powerset cap must be at least 1")
-    if delay < 0:
-        raise ValueError("widening delay must not be negative")
+@dataclass(frozen=True)
+class DomainOptions:
+    """The domain both engines iterate in, its powerset cap and widening delay."""
+
+    domain: str = "poly"  # 'poly' | 'powerset'
+    delay: int = 0
+    cap: int = 8
+
+    def __post_init__(self):
+        if self.domain not in ("poly", "powerset"):
+            raise ValueError(f"unknown domain {self.domain!r}")
+        if self.cap < 1:
+            raise ValueError("powerset cap must be at least 1")
+        if self.delay < 0:
+            raise ValueError("widening delay must not be negative")
 
 
 def lift(p: Polyhedron, domain: str) -> Polyhedron | PolySet:

@@ -26,6 +26,11 @@ reference for the meet that returns a generator operand lying inside the
 other operand's rows.  ``fraction_constraint`` reads one constraint of
 the shared grammar with every expression a pair ``(coeffs, const)`` of
 Fractions, the reference for the parser's integer rows.
+``two_lift_entry`` computes a transition entry by one lift for the
+source flow and one for the image met with the invariant, and
+``former_reach`` sweeps with ``former_sweep_step``, which joins (and
+widens) before it tests for a change; they are the references for the
+fused entry and for the sweep that tests each location's change once.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from polyinv.hybrid import _source_flow
 from polyinv.linalg import Constraint, DimensionError, GenKind, Rel
 from polyinv.parse import ParseError
 from polyinv.polyhedron import Polyhedron, Topology, _dot, _norm, _split_inequalities
+from polyinv.powerset import lift
 
 # An inequality in oracle form: (coeffs, rhs, strict) meaning <a,x> >= rhs
 # (or > rhs when strict).  Equalities are split before use.
@@ -501,3 +508,50 @@ def fraction_constraint(ts, var_index, dim) -> Constraint:
     rhs, rconst = fraction_linear_expr(ts, var_index, dim)
     diff = [a - b for a, b in zip(lhs, rhs)]
     return fraction_canonicalize_constraint(diff, tok[1], rconst - lconst)
+
+
+def two_lift_entry(t, invariant, act, source):
+    """The entry region of transition ``t`` from ``source``: the source
+    flow under ``act`` in one lift, the image met with ``invariant`` in
+    a second, each lift reduced."""
+    flowed = source.lift_image(lambda p: _source_flow(p, act))
+    return flowed.lift_image(lambda p: t.image(p).intersection(invariant))
+
+
+def former_sweep_step(old, f_value, widened: bool, cap: int):
+    """(new region, changed) of one location in a sweep: the join, or at a
+    widened location the widening unless ``f_value`` is below ``old``,
+    then a second inclusion test of the new region against ``old``."""
+    if widened:
+        new = old if f_value.entails(old) else old.widen(old.join(f_value), cap)
+    else:
+        new = old.join(f_value)
+    return new, not new.entails(old)
+
+
+def former_reach(h, opts):
+    """(regions, iterations) of the reach sweeps on ``former_sweep_step``
+    and ``two_lift_entry``, with no memo; None if no fixpoint comes
+    within ``opts.max_iter`` sweeps."""
+    widen_at = h.widen_at or h.default_widen_set()
+    bottom = lift(Polyhedron.empty(h.dim, Topology.NNC), opts.domain)
+    regions = {l.name: bottom for l in h.locations}
+    for sweep in range(1, opts.max_iter + 1):
+        changed = False
+        for loc in h.locations:
+            f_value = lift(loc.init, opts.domain)
+            for i in h.incoming(loc.name):
+                t = h.transitions[i]
+                act = h.location(t.source).rate
+                f_value = f_value.join(two_lift_entry(t, loc.invariant, act, regions[t.source]))
+            f_value = f_value.lift_image(
+                lambda p: p.time_elapse(loc.rate).intersection(loc.invariant)
+            )
+            widened = loc.name in widen_at and sweep > opts.delay
+            new, moved = former_sweep_step(regions[loc.name], f_value, widened, opts.cap)
+            if moved:
+                changed = True
+                regions[loc.name] = new
+        if not changed:
+            return regions, sweep
+    return None

@@ -8,6 +8,7 @@ from pathlib import Path
 from polyinv import polyhedron
 from polyinv.linalg import Constraint, Rel
 from polyinv.polyhedron import Polyhedron, Topology
+from polyinv.powerset import PolySet
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -94,7 +95,8 @@ def test_check_digests_counts_the_conversions_of_runs_not_of_checks():
             return []
 
     conversions = check_digests.Conversions()
-    counted = check_digests.counting(Kind, conversions, check_digests.Fractions())
+    counted = check_digests.counting(Kind, conversions, check_digests.Fractions(),
+                                     check_digests.Inclusions())
     cs = [Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)]
     result, _ = counted.run({}, cs)
     assert counted.check({}, cs, result) == []
@@ -121,10 +123,38 @@ def test_check_digests_counts_the_fractions_of_set_up_and_runs_not_of_checks():
             return []
 
     fractions = check_digests.Fractions()
-    counted = check_digests.counting(Kind, check_digests.Conversions(), fractions)
+    counted = check_digests.counting(Kind, check_digests.Conversions(), fractions,
+                                     check_digests.Inclusions())
     with fractions.counting("prepare"):
         prepared = counted.prepare({})
     result, _ = counted.run({}, prepared)
     assert counted.check({}, prepared, result) == []
     assert fractions.built == {"prepare": 2, "run": 1}
     assert Fraction.__dict__["__new__"] is original and result == Fraction(5, 7)
+
+
+def test_check_digests_counts_the_inclusion_tests_and_reduces_of_runs_not_of_checks():
+    check_digests = tool("check_digests")
+    contains, reduce = vars(Polyhedron)["contains"], vars(PolySet)["reduce"]
+    x = [Constraint((1,), 0, Rel.GE)]
+    small = Polyhedron.from_constraints(1, Topology.CLOSED, x + [Constraint((-1,), -1, Rel.GE)])
+    big = Polyhedron.from_constraints(1, Topology.CLOSED, x)
+
+    class Kind:
+        @staticmethod
+        def run(spec, prepared):
+            # one test, answered yes: small lies inside big, which is kept
+            return PolySet.reduce(1, Topology.CLOSED, [big, small]), ""
+
+        @staticmethod
+        def check(spec, prepared, result):
+            assert result.entails(PolySet.singleton(big))  # not counted
+            return []
+
+    inclusions = check_digests.Inclusions()
+    counted = check_digests.counting(Kind, check_digests.Conversions(),
+                                     check_digests.Fractions(), inclusions)
+    result, _ = counted.run({}, None)
+    assert counted.check({}, None, result) == []
+    assert (inclusions.tests, inclusions.yes, inclusions.reduces) == (1, 1, 1)
+    assert vars(Polyhedron)["contains"] is contains and vars(PolySet)["reduce"] is reduce

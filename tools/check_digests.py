@@ -7,11 +7,14 @@ oracle checks on, and compares every item's rendered output with its
 digest in ``perfbench/digests.json``.  Prints each failing item and
 exits 1 if any item failed; it measures no benchmark metric.  It also
 prints how many conversions (``_dd_cone`` calls) the items ran and how
-many rows they were given, and how many ``Fraction`` objects their
-set-up (``prepare``) and their runs constructed, the oracle checks not
-counted.  From Python 3.12 on ``Fraction`` arithmetic makes its results
-without ``Fraction.__new__``, so the count covers constructions only;
-before 3.12 it also counts each arithmetic result.
+many rows they were given, how many inclusion tests
+(``Polyhedron.contains`` calls) they made and how many of those answered
+yes, how many ``PolySet.reduce`` calls they made, and how many
+``Fraction`` objects their set-up (``prepare``) and their runs
+constructed, the oracle checks not counted.  From Python 3.12 on
+``Fraction`` arithmetic makes its results without ``Fraction.__new__``,
+so the count covers constructions only; before 3.12 it also counts each
+arithmetic result.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench import harness, inputs  # noqa: E402  (needs the path above)
 from polyinv import polyhedron  # noqa: E402  (harness puts src/ on the path)
+from polyinv.polyhedron import Polyhedron  # noqa: E402
+from polyinv.powerset import PolySet  # noqa: E402
 
 
 class Conversions:
@@ -63,16 +68,44 @@ class Fractions:
             Fraction.__new__ = real
 
 
-def counting(kind, conversions: Conversions, fractions: Fractions):
+class Inclusions:
+    """Counts ``Polyhedron.contains`` calls and their yes answers, and
+    ``PolySet.reduce`` calls, inside ``counting()``."""
+
+    def __init__(self):
+        self.tests = self.yes = self.reduces = 0
+
+    @contextmanager
+    def counting(self):
+        contains, reduce = vars(Polyhedron)["contains"], vars(PolySet)["reduce"]
+
+        def counted_contains(p, q):
+            self.tests += 1
+            answer = contains(p, q)
+            self.yes += answer
+            return answer
+
+        def counted_reduce(*args):
+            self.reduces += 1
+            return reduce.__func__(*args)
+
+        Polyhedron.contains, PolySet.reduce = counted_contains, staticmethod(counted_reduce)
+        try:
+            yield
+        finally:
+            Polyhedron.contains, PolySet.reduce = contains, reduce
+
+
+def counting(kind, conversions: Conversions, fractions: Fractions, inclusions: Inclusions):
     """``kind`` with its items' runs, and not its checks, counted by
-    ``conversions`` and ``fractions``."""
+    ``conversions``, ``fractions`` and ``inclusions``."""
 
     class Counted(kind):
         @staticmethod
         def run(spec, prepared):
             polyhedron._dd_cone = conversions
             try:
-                with fractions.counting("run"):
+                with fractions.counting("run"), inclusions.counting():
                     return kind.run(spec, prepared)
             finally:
                 polyhedron._dd_cone = conversions.real
@@ -82,17 +115,20 @@ def counting(kind, conversions: Conversions, fractions: Fractions):
 
 def check(workload: str) -> int:
     kind, conversions, fractions = harness.KINDS[workload], Conversions(), Fractions()
+    inclusions = Inclusions()
     specs = inputs.pool(workload)
     t0 = time.perf_counter()
     with fractions.counting("prepare"):
         prepared = [kind.prepare(s) for s in specs]
-    p = harness.run_pass(counting(kind, conversions, fractions), specs, prepared,
+    p = harness.run_pass(counting(kind, conversions, fractions, inclusions), specs, prepared,
                          harness.TIMEOUTS[workload], check=True, expected=harness.load_digests())
     for i, why in sorted(p.failures.items()):
         print(f"{workload} {specs[i]['key']}: {why}")
     print(f"{workload}: {len(specs)} items, {len(p.failures)} failed "
           f"({time.perf_counter() - t0:.1f} s)")
     print(f"{workload}: {conversions.calls} _dd_cone calls on {conversions.rows} rows")
+    print(f"{workload}: {inclusions.tests} inclusion tests ({inclusions.yes} answered yes), "
+          f"{inclusions.reduces} PolySet.reduce calls")
     print(f"{workload}: {fractions.built['prepare']} Fraction constructions in set-up, "
           f"{fractions.built['run']} in runs")
     return len(p.failures)
