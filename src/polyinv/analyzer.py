@@ -28,7 +28,6 @@ the work done, so a replay adds nothing to them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor
 from typing import Callable, Mapping, Sequence
 
 from . import imp
@@ -143,8 +142,8 @@ def affine_row(e: imp.Aexp, variables: Sequence[str]) -> list[int] | None:
 
 
 def _interval_of_dim(p: Polyhedron, k: int) -> Interval:
-    lo, hi = p.dim_bounds(k)
-    lo, hi = None if lo is None else ceil(lo), None if hi is None else floor(hi)
+    lo, hi = p.closure_box()[k]
+    lo, hi = None if lo is None else -(-lo[0] // lo[1]), None if hi is None else hi[0] // hi[1]
     return Interval.bottom() if None not in (lo, hi) and lo > hi else Interval(lo, hi)
 
 

@@ -68,6 +68,13 @@ the set and one with zero slack to a point of its closure, and every
 row, minimal or not, has a slack coefficient of 0 or below (the side
 row ``eps >= 0`` aside), so it reads as one constraint on the set,
 strict when that coefficient is negative.
+A value that holds generators also gives the box of its closure, the
+interval hull per dimension with each bound an integer pair
+``(num, den)``, read off those generators once and kept; it never
+converts.  Other inside self puts other's box inside self's, so a box
+that leaves the other's answers an inclusion no without reading a row
+(``box_excludes``); the powerset asks it before every full test.
+``dim_bounds`` and the analyzer's interval bounds read the same box.
 Emission reads the integer minimal rows directly: each constraint is a
 row with its slack dropped, divided by the gcd of what is left, and no
 ``Fraction`` is built between the conversion and the printed system.
@@ -105,6 +112,8 @@ from .linalg import (
 
 Vec = tuple[int, ...]
 Row = tuple[Vec, bool]  # (vector, is_equality)
+Bound = tuple[int, int]  # (num, den), den > 0: the rational num / den
+Box = tuple[tuple[Bound | None, Bound | None], ...]  # (lo, hi) per dimension, None unbounded
 
 
 class TopologyError(ValueError):
@@ -356,6 +365,7 @@ class Polyhedron:
         "_gens",
         "_raw",
         "_empty",
+        "_box",
         "_out_cons",
         "_out_gens",
     )
@@ -369,6 +379,7 @@ class Polyhedron:
         self._gens: tuple[tuple[Vec, ...], tuple[Vec, ...]] | None = None
         self._raw: str | None = None  # "rows" or "gens" while that one is unminimized
         self._empty: bool | None = None
+        self._box: Box | None = None
         self._out_cons: tuple[Constraint, ...] | None = None
         self._out_gens: tuple[Generator, ...] | None = None
 
@@ -966,6 +977,65 @@ class Polyhedron:
 
     # -- bounds -------------------------------------------------------------------
 
+    def _held_box(self) -> Box | None:
+        """The interval hull of the closure, read off the held generators.
+
+        None when self holds no generators or is empty, so it never
+        converts.  Kept once computed: the raw and the minimal generators
+        generate the same set, so the box outlives their minimization.
+        """
+        if self._box is None and self._gens is not None and not self._empty:
+            lines, rays = self._gens
+            points = [r for r in rays if r[0] > 0]  # at least one, as self is nonempty
+            dirs = [r for r in rays if r[0] == 0]
+            box = []
+            for col in range(1, 1 + self._dim):
+                lo = hi = (points[0][col], points[0][0])
+                for r in points:
+                    num, den = r[col], r[0]
+                    if num * lo[1] < lo[0] * den:
+                        lo = (num, den)
+                    elif num * hi[1] > hi[0] * den:
+                        hi = (num, den)
+                free = any(l[col] for l in lines)
+                down = free or any(d[col] < 0 for d in dirs)
+                up = free or any(d[col] > 0 for d in dirs)
+                box.append((None if down else lo, None if up else hi))
+            self._box = tuple(box)
+        return self._box
+
+    def box_excludes(self, other: Polyhedron) -> bool:
+        """Whether the box of other's closure leaves that of self's, so
+        that self cannot contain other.
+
+        Reads only boxes of held generators (``_held_box``) and never
+        converts: it answers False unless both values hold generators and
+        are nonempty.  Bounds compare by cross-multiplication.  A True is
+        exact, as other inside self puts its closure, and so its box,
+        inside self's.
+        """
+        self._check_compatible(other)
+        mine, theirs = self._held_box(), other._held_box()
+        if mine is None or theirs is None:
+            return False
+        for (lo, hi), (olo, ohi) in zip(mine, theirs):
+            if lo is not None and (olo is None or olo[0] * lo[1] < lo[0] * olo[1]):
+                return True
+            if hi is not None and (ohi is None or ohi[0] * hi[1] > hi[0] * ohi[1]):
+                return True
+        return False
+
+    def closure_box(self) -> Box:
+        """The interval hull of the closure: per dimension ``(lo, hi)``,
+        each an integer pair ``(num, den)`` meaning ``num / den``, with
+        ``den > 0``, or None when unbounded.
+
+        Must not be called on an empty polyhedron.
+        """
+        if self.is_empty():  # converts a value held by rows, so generators are held
+            raise ValueError("closure_box on an empty polyhedron")
+        return self._held_box()
+
     def dim_bounds(self, k: int) -> tuple[Fraction | None, Fraction | None]:
         """Bounds of the projection onto dimension k (closure bounds for NNC).
 
@@ -976,24 +1046,8 @@ class Polyhedron:
             raise DimensionError(f"dimension {k} out of range")
         if self.is_empty():
             raise ValueError("dim_bounds on an empty polyhedron")
-        lines, rays = self._gens_any()
-        col = 1 + k
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        unbounded_lo = any(l[col] != 0 for l in lines)
-        unbounded_hi = unbounded_lo
-        for r in rays:
-            if r[0] == 0:
-                if r[col] < 0:
-                    unbounded_lo = True
-                elif r[col] > 0:
-                    unbounded_hi = True
-        for r in rays:
-            if r[0] > 0:
-                val = Fraction(r[col], r[0])
-                lo = val if lo is None else min(lo, val)
-                hi = val if hi is None else max(hi, val)
-        return (None if unbounded_lo else lo, None if unbounded_hi else hi)
+        lo, hi = self._held_box()[k]  # held: is_empty converts a value held by rows
+        return (None if lo is None else Fraction(*lo), None if hi is None else Fraction(*hi))
 
 
 # ---------------------------------------------------------------------------

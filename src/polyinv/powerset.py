@@ -2,11 +2,20 @@
 
 An element is a finite, non-redundant set of nonempty maximal polyhedra
 of one dimension and topology: no element of the collection is included
-in another, and the empty collection is bottom.  Operations are the
-liftings of the base-domain operations followed by redundancy removal;
-the widening collapses the collection to a bounded number of disjuncts
-and then widens element-wise, which keeps the base widening's
-termination guarantee.
+in another, and the empty collection is bottom.  Every ``PolySet`` the
+domain makes is reduced: ``reduce`` and ``bottom`` make one, and every
+operation keeps it so.  Operations are the liftings of the base-domain
+operations followed by redundancy removal; the join relies on both
+operands being reduced and tests only the pairs across them.  The
+widening collapses the collection to a bounded number of disjuncts and
+then widens element-wise, which keeps the base widening's termination
+guarantee.
+
+Every inclusion test here goes through ``_includes``, which compares the
+boxes of the two closures first (``Polyhedron.box_excludes``): a box of
+the inner value that leaves the outer one's answers no before the full
+test, and before the conversion that test may need.  The box is read
+only off generators a value already holds.
 
 ``PolySet`` and ``Polyhedron`` answer the same lattice verbs
 (``is_bottom``, ``join``, ``entails``, ``equals``, ``widen(newer, cap)``
@@ -25,8 +34,17 @@ from .linalg import DimensionError
 from .polyhedron import Polyhedron, Topology, TopologyError, standard_widening
 
 
+def _includes(outer: Polyhedron, inner: Polyhedron) -> bool:
+    """Whether outer contains inner, answered no first by the closure boxes."""
+    return not outer.box_excludes(inner) and outer.contains(inner)
+
+
 class PolySet:
-    """A non-redundant finite disjunction of polyhedra."""
+    """A non-redundant finite disjunction of polyhedra.
+
+    Build one with ``reduce``, ``bottom`` or ``singleton``: the
+    operations take their operands to be reduced.
+    """
 
     __slots__ = ("dim", "topology", "elements")
 
@@ -56,9 +74,9 @@ class PolySet:
                 candidates.append(p)
         kept: list[Polyhedron] = []
         for p in candidates:
-            if any(q.contains(p) for q in kept):
+            if any(_includes(q, p) for q in kept):
                 continue
-            kept = [q for q in kept if not p.contains(q)]
+            kept = [q for q in kept if not _includes(p, q)]
             kept.append(p)
         return PolySet(dim, topology, kept)
 
@@ -72,8 +90,22 @@ class PolySet:
             raise TopologyError("topology mismatch")
 
     def join(self, other: PolySet) -> PolySet:
+        """The reduction of both operands' elements, self's first.
+
+        Each operand is reduced, so no element contains another of its
+        own operand: only the pairs across the two are tested.  Self's
+        elements that survive keep their order, followed by the elements
+        of other that none of them contains, which is what ``reduce``
+        gives on the concatenation.
+        """
         self._check(other)
-        return PolySet.reduce(self.dim, self.topology, self.elements + other.elements)
+        mine, added = list(self.elements), []
+        for p in other.elements:
+            if any(_includes(q, p) for q in mine):
+                continue
+            mine = [q for q in mine if not _includes(p, q)]
+            added.append(p)
+        return PolySet(self.dim, self.topology, mine + added)
 
     def meet(self, other: PolySet) -> PolySet:
         self._check(other)
@@ -83,7 +115,7 @@ class PolySet:
     def entails(self, other: PolySet) -> bool:
         """Hoare order: every element is included in some element of other."""
         self._check(other)
-        return all(any(t.contains(s) for t in other.elements) for s in self.elements)
+        return all(any(_includes(t, s) for t in other.elements) for s in self.elements)
 
     def equals(self, other: PolySet) -> bool:
         return self.entails(other) and other.entails(self)
@@ -144,7 +176,7 @@ def _merge_to_cap(elements: list[Polyhedron], cap: int) -> list[Polyhedron]:
         for i in range(len(work)):
             for j in range(i + 1, len(work)):
                 hull = work[i].poly_hull(work[j])
-                exact = work[i].contains(hull) or work[j].contains(hull)
+                exact = _includes(work[i], hull) or _includes(work[j], hull)
                 key = (not exact, len(hull.minimized_constraints()), i, j)
                 if best is None or key < best[0]:
                     best = (key, i, j, hull)
@@ -177,7 +209,7 @@ def powerset_widening(older: PolySet, newer: PolySet, cap: int) -> PolySet:
     capped = _merge_to_cap(list(newer.elements), k)
 
     def partners(t: Polyhedron) -> list[Polyhedron]:
-        return [s for s in older.elements if t.contains(s)]
+        return [s for s in older.elements if _includes(t, s)]
 
     # hull orphans into the neighbour whose hull is cheapest
     while len(capped) > 1:

@@ -31,6 +31,10 @@ source flow and one for the image met with the invariant, and
 ``former_reach`` sweeps with ``former_sweep_step``, which joins (and
 widens) before it tests for a change; they are the references for the
 fused entry and for the sweep that tests each location's change once.
+``concat_join`` joins two powersets by reducing the concatenation of
+their elements, the reference for the join that tests only cross pairs;
+``emitted_bounds`` reads a dimension's bounds off the emitted generators
+in Fractions, the reference for the closure box.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from polyinv.hybrid import _source_flow
 from polyinv.linalg import Constraint, DimensionError, GenKind, Rel
 from polyinv.parse import ParseError
 from polyinv.polyhedron import Polyhedron, Topology, _dot, _norm, _split_inequalities
-from polyinv.powerset import lift
+from polyinv.powerset import PolySet, lift
 
 # An inequality in oracle form: (coeffs, rhs, strict) meaning <a,x> >= rhs
 # (or > rhs when strict).  Equalities are split before use.
@@ -555,3 +559,25 @@ def former_reach(h, opts):
         if not changed:
             return regions, sweep
     return None
+
+
+def concat_join(a, b):
+    """The join of two powersets: both operands' elements, a's first,
+    reduced."""
+    return PolySet.reduce(a.dim, a.topology, a.elements + b.elements)
+
+
+def emitted_bounds(p, k: int):
+    """(lo, hi) of dimension ``k`` over the closure of nonempty ``p``, in
+    Fractions, None when unbounded: the extremes of the emitted points and
+    closure points, unbounded on a side where an emitted ray (a line is
+    two) moves."""
+    lo = hi = None
+    down = up = False
+    for g in p.minimized_generators():
+        if g.kind is GenKind.RAY:
+            down, up = down or g.coeffs[k] < 0, up or g.coeffs[k] > 0
+        else:
+            x = Fraction(g.coeffs[k], g.divisor)
+            lo, hi = x if lo is None else min(lo, x), x if hi is None else max(hi, x)
+    return None if down else lo, None if up else hi

@@ -167,6 +167,28 @@ def test_affine_analysis_builds_no_fraction(fractions_built):
     assert fractions_built == []
 
 
+INTERVAL_PROGRAM = """
+vars i, j, k;
+j := 0;
+if 0 < 2 * i + 1 then
+  if 2 * i < 7 then {
+    k := i * i;
+    while j < 3 do { j := j + 1; k := k - i * j }
+  } else k := 0
+else k := 0
+"""
+
+
+def test_interval_assignments_build_no_fraction(fractions_built):
+    # the non-affine assignments read i's bounds off the closure box, in integers
+    program = parse_program(INTERVAL_PROGRAM)
+    initial = AbstractStore.top(program.variables)
+    fractions_built.clear()
+    result = analyze(program, initial, AnalysisOptions(delay=3))
+    assert result.exit_store.pretty() == "{j<=3, j>=0, 3*j-k>=0}"
+    assert fractions_built == []
+
+
 def test_each_statement_compiles_once(monkeypatch):
     program = parse_program(AFFINE_PROGRAM)
     assigned = {s.expr.pid for s in program.statements() if isinstance(s, Assign)}

@@ -78,7 +78,8 @@ def test_one_inclusion_test_per_location_and_sweep(monkeypatch, name, tests):
     assert len(calls) == (res.iterations + 1) * len(h.locations) == tests
 
 
-@pytest.mark.parametrize("name, reduces", [("water.lha", 51), ("scheduler.lha", 157)])
+# the join tests only cross pairs and calls no reduce
+@pytest.mark.parametrize("name, reduces", [("water.lha", 35), ("scheduler.lha", 84)])
 def test_reduce_calls_of_a_powerset_reach(monkeypatch, name, reduces):
     h = parse_automaton(example_text(name))
     calls = []

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from polyinv import polyhedron
-from polyinv.linalg import Constraint, Rel
+from polyinv.linalg import Constraint, Generator, Rel
 from polyinv.polyhedron import Polyhedron, Topology
 from polyinv.powerset import PolySet
 
@@ -135,20 +135,23 @@ def test_check_digests_counts_the_fractions_of_set_up_and_runs_not_of_checks():
 
 def test_check_digests_counts_the_inclusion_tests_and_reduces_of_runs_not_of_checks():
     check_digests = tool("check_digests")
-    contains, reduce = vars(Polyhedron)["contains"], vars(PolySet)["reduce"]
+    real = [vars(Polyhedron)["box_excludes"], vars(Polyhedron)["contains"], vars(PolySet)["reduce"]]
     x = [Constraint((1,), 0, Rel.GE)]
     small = Polyhedron.from_constraints(1, Topology.CLOSED, x + [Constraint((-1,), -1, Rel.GE)])
     big = Polyhedron.from_constraints(1, Topology.CLOSED, x)
+    far = Polyhedron.from_generators(1, Topology.CLOSED, [Generator.point([-5])])
 
     class Kind:
         @staticmethod
         def run(spec, prepared):
-            # one test, answered yes: small lies inside big, which is kept
-            return PolySet.reduce(1, Topology.CLOSED, [big, small]), ""
+            # three candidate pairs: the full test finds small inside big,
+            # and the boxes (read once each value holds generators) turn
+            # down far inside big and big inside far
+            return PolySet.reduce(1, Topology.CLOSED, [big, small, far]), ""
 
         @staticmethod
         def check(spec, prepared, result):
-            assert result.entails(PolySet.singleton(big))  # not counted
+            assert PolySet.singleton(big).entails(result)  # not counted
             return []
 
     inclusions = check_digests.Inclusions()
@@ -156,5 +159,8 @@ def test_check_digests_counts_the_inclusion_tests_and_reduces_of_runs_not_of_che
                                      check_digests.Fractions(), inclusions)
     result, _ = counted.run({}, None)
     assert counted.check({}, None, result) == []
-    assert (inclusions.tests, inclusions.yes, inclusions.reduces) == (1, 1, 1)
-    assert vars(Polyhedron)["contains"] is contains and vars(PolySet)["reduce"] is reduce
+    assert len(result.elements) == 2
+    assert (inclusions.pairs, inclusions.rejected, inclusions.tests) == (3, 2, 1)
+    assert (inclusions.yes, inclusions.reduces) == (1, 1)
+    assert [vars(Polyhedron)["box_excludes"], vars(Polyhedron)["contains"],
+            vars(PolySet)["reduce"]] == real

@@ -7,9 +7,11 @@ oracle checks on, and compares every item's rendered output with its
 digest in ``perfbench/digests.json``.  Prints each failing item and
 exits 1 if any item failed; it measures no benchmark metric.  It also
 prints how many conversions (``_dd_cone`` calls) the items ran and how
-many rows they were given, how many inclusion tests
-(``Polyhedron.contains`` calls) they made and how many of those answered
-yes, how many ``PolySet.reduce`` calls they made, and how many
+many rows they were given, how many pairs they asked an inclusion test
+about (the candidate pairs), how many of those the closure boxes turned
+down (``Polyhedron.box_excludes`` answering yes) and how many went to the
+full test (``Polyhedron.contains`` calls) and answered yes there, how
+many ``PolySet.reduce`` calls they made, and how many
 ``Fraction`` objects their set-up (``prepare``) and their runs
 constructed, the oracle checks not counted.  From Python 3.12 on
 ``Fraction`` arithmetic makes its results without ``Fraction.__new__``,
@@ -69,15 +71,27 @@ class Fractions:
 
 
 class Inclusions:
-    """Counts ``Polyhedron.contains`` calls and their yes answers, and
-    ``PolySet.reduce`` calls, inside ``counting()``."""
+    """Counts box rejections (``Polyhedron.box_excludes`` answering yes),
+    full tests (``Polyhedron.contains`` calls) and their yes answers, and
+    ``PolySet.reduce`` calls, inside ``counting()``.  Every candidate pair
+    is either rejected by the boxes or tested in full."""
 
     def __init__(self):
-        self.tests = self.yes = self.reduces = 0
+        self.rejected = self.tests = self.yes = self.reduces = 0
+
+    @property
+    def pairs(self) -> int:
+        return self.rejected + self.tests
 
     @contextmanager
     def counting(self):
-        contains, reduce = vars(Polyhedron)["contains"], vars(PolySet)["reduce"]
+        box_excludes, contains = vars(Polyhedron)["box_excludes"], vars(Polyhedron)["contains"]
+        reduce = vars(PolySet)["reduce"]
+
+        def counted_box_excludes(p, q):
+            answer = box_excludes(p, q)
+            self.rejected += answer
+            return answer
 
         def counted_contains(p, q):
             self.tests += 1
@@ -89,11 +103,13 @@ class Inclusions:
             self.reduces += 1
             return reduce.__func__(*args)
 
-        Polyhedron.contains, PolySet.reduce = counted_contains, staticmethod(counted_reduce)
+        Polyhedron.box_excludes, Polyhedron.contains = counted_box_excludes, counted_contains
+        PolySet.reduce = staticmethod(counted_reduce)
         try:
             yield
         finally:
-            Polyhedron.contains, PolySet.reduce = contains, reduce
+            Polyhedron.box_excludes, Polyhedron.contains = box_excludes, contains
+            PolySet.reduce = reduce
 
 
 def counting(kind, conversions: Conversions, fractions: Fractions, inclusions: Inclusions):
@@ -127,8 +143,9 @@ def check(workload: str) -> int:
     print(f"{workload}: {len(specs)} items, {len(p.failures)} failed "
           f"({time.perf_counter() - t0:.1f} s)")
     print(f"{workload}: {conversions.calls} _dd_cone calls on {conversions.rows} rows")
-    print(f"{workload}: {inclusions.tests} inclusion tests ({inclusions.yes} answered yes), "
-          f"{inclusions.reduces} PolySet.reduce calls")
+    print(f"{workload}: {inclusions.pairs} candidate pairs for inclusion tests, "
+          f"{inclusions.rejected} rejected by the closure boxes, {inclusions.tests} full tests "
+          f"({inclusions.yes} answered yes), {inclusions.reduces} PolySet.reduce calls")
     print(f"{workload}: {fractions.built['prepare']} Fraction constructions in set-up, "
           f"{fractions.built['run']} in runs")
     return len(p.failures)
