@@ -11,14 +11,20 @@ homogenization cone in ``Q^(n+1)``:
   and rendered as pairs of opposite rays.
 
 Conversion between the two descriptions is the incremental
-Chernikova-style algorithm: constraints are added one at a time to a
-seeded universe; generators violating the new half-space are combined
+Chernikova-style algorithm: constraints are added one at a time to the
+universe cone; generators violating the new half-space are combined
 with satisfying ones across adjacent pairs only, where adjacency is the
 combinatorial saturation test (two rays are adjacent iff no third ray
 saturates a superset of their common saturated rows).  Keeping the
 lineality space explicit is what makes that test sound: the ray cone is
 pointed modulo the lines, so rays are genuine extreme rays and the
-conversion output is minimal.
+conversion output is minimal.  A forward conversion keeps the
+saturation matrix it ends with.  A meet built when one operand holds its
+minimal generators starts its conversion from them and that matrix
+instead of the universe, and adds only the rows that operand does not
+hold: the test needs extreme rays and rows that define their cone, raw
+or minimal.  The meet holds those tuples, not the operand, and drops
+them once converted.
 
 A value holds one copy of each description.  The one it was built from
 stays as given, unminimized, until emission or widening asks for it
@@ -114,6 +120,7 @@ Vec = tuple[int, ...]
 Row = tuple[Vec, bool]  # (vector, is_equality)
 Bound = tuple[int, int]  # (num, den), den > 0: the rational num / den
 Box = tuple[tuple[Bound | None, Bound | None], ...]  # (lo, hi) per dimension, None unbounded
+Cone = tuple[list[Vec], list[Vec], list[int], int]  # (lines, rays, sat, nbits): see _dd_cone
 
 
 class TopologyError(ValueError):
@@ -186,18 +193,26 @@ def _side_rows(hom_dim: int) -> tuple[Row, ...]:
 # The conversion engine
 # ---------------------------------------------------------------------------
 
-def _dd_cone(dim: int, rows: Iterable[Row]) -> tuple[list[Vec], list[Vec]]:
-    """DD pair (lines, rays) of ``{x : r.x >= 0 / r.x = 0 for r in rows}``.
+def _dd_cone(dim: int, rows: Iterable[Row], seed: Cone | None = None) -> Cone:
+    """DD pair (lines, rays) of ``{x : r.x >= 0 / r.x = 0 for r in rows}``,
+    with its saturation matrix: ``(lines, rays, sat, nbits)``, ``sat[i]``
+    the bitmask of the ``nbits`` inequality rows processed that ray ``i``
+    saturates.
 
-    Seeded from the universe cone; rows are processed incrementally.
-    The returned rays are exactly the extreme rays modulo the returned
-    lineality basis.
+    Seeded from the universe cone, or from ``seed``, a cone in that form
+    whose rows define it (any such rows: the adjacency test needs only
+    extreme rays and a defining row system), which is then met with
+    ``rows``.  Rows are processed incrementally.  The returned rays are
+    exactly the extreme rays modulo the returned lineality basis.
     """
-    lines: list[Vec] = list(_units(dim))
-    rays: list[Vec] = []
-    sat: list[int] = []  # per-ray bitmask of saturated inequality rows
-    mask_all = 0  # bits of all inequality rows processed so far
-    nbits = 0
+    if seed is None:
+        lines: list[Vec] = list(_units(dim))
+        rays: list[Vec] = []
+        sat: list[int] = []  # per-ray bitmask of saturated inequality rows
+        nbits = 0
+    else:
+        lines, rays, sat, nbits = seed
+    mask_all = (1 << nbits) - 1  # bits of all inequality rows processed so far
 
     for vec, is_eq in rows:
         if not any(vec):
@@ -280,7 +295,7 @@ def _dd_cone(dim: int, rows: Iterable[Row]) -> tuple[list[Vec], list[Vec]]:
         if not is_eq:
             mask_all |= bit
 
-    return lines, rays
+    return lines, rays, sat, nbits
 
 
 def _dual_rows(hom_dim: int, lines: Sequence[Vec], rays: Sequence[Vec]) -> list[Row]:
@@ -291,7 +306,7 @@ def _dual_rows(hom_dim: int, lines: Sequence[Vec], rays: Sequence[Vec]) -> list[
     and inequality rows of the minimal constraint description.
     """
     dual_in: list[Row] = [(l, True) for l in lines] + [(r, False) for r in rays]
-    dlines, drays = _dd_cone(hom_dim, dual_in)
+    dlines, drays, _, _ = _dd_cone(hom_dim, dual_in)
     out: list[Row] = [(l, True) for l in dlines]
     for r in drays:
         if r[0] > 0 and not any(r[1:]):
@@ -366,6 +381,8 @@ class Polyhedron:
         "_raw",
         "_empty",
         "_box",
+        "_cone",
+        "_seed",
         "_out_cons",
         "_out_gens",
     )
@@ -380,6 +397,11 @@ class Polyhedron:
         self._raw: str | None = None  # "rows" or "gens" while that one is unminimized
         self._empty: bool | None = None
         self._box: Box | None = None
+        # (lines, rays, sat, nbits) of the forward conversion: one store keeps
+        # the matrix with the rays it describes, even under concurrent conversions
+        self._cone: tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[int, ...], int] | None = None
+        # (rows, lines, rays, sat, nbits) of an operand, until the conversion
+        self._seed: tuple | None = None
         self._out_cons: tuple[Constraint, ...] | None = None
         self._out_gens: tuple[Generator, ...] | None = None
 
@@ -512,13 +534,24 @@ class Polyhedron:
         return self._gens if self._gens is not None else self._minimal_gens()
 
     def _forward(self, rows: Sequence[Row]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        ordered = (
-            [r for r in rows if r[1]]
-            + [(self._pi(), False)]
-            + [r for r in rows if not r[1]]
-        )
-        lines, rays = _dd_cone(self._hom_dim, ordered)
-        return tuple(lines), tuple(rays)
+        """The generators of ``rows``, equalities added first, kept with
+        their saturation matrix in ``_cone``.
+
+        From the universe and the positivity row, or from self's seed,
+        which is then cleared: an operand's ``_cone`` takes only the rows
+        that operand does not hold.
+        """
+        seed, self._seed = self._seed, None
+        start = [(self._pi(), False)]
+        if seed is not None:
+            held, lines, rays, sat, nbits = seed
+            known = set(held)
+            rows = [r for r in rows if r not in known]
+            seed, start = (list(lines), list(rays), list(sat), nbits), []
+        ordered = [r for r in rows if r[1]] + start + [r for r in rows if not r[1]]
+        lines, rays, sat, nbits = _dd_cone(self._hom_dim, ordered, seed)
+        self._cone = (tuple(lines), tuple(rays), tuple(sat), nbits)
+        return self._cone[:2]
 
     def _is_empty_gens(self, gens: tuple[tuple[Vec, ...], tuple[Vec, ...]]) -> bool:
         _, rays = gens
@@ -719,7 +752,12 @@ class Polyhedron:
             return self
         if set(theirs).issuperset(mine):
             return other
-        return Polyhedron._from_rep_rows(self._dim, self._topology, mine + theirs)
+        meet = Polyhedron._from_rep_rows(self._dim, self._topology, mine + theirs)
+        for p in (self, other):
+            if p._cone is not None:  # its minimal generators seed the conversion
+                meet._seed = (p._rows, *p._cone)
+                break
+        return meet
 
     def add_constraints(self, constraints: Iterable[Constraint]) -> Polyhedron:
         extra = Polyhedron.from_constraints(self._dim, self._topology, constraints)

@@ -7,15 +7,30 @@ import pytest
 from polyinv import polyhedron
 
 
+class Conversions(list):
+    """The dimension of each DD conversion (``_dd_cone`` call) the test runs;
+    ``given`` holds each call's rows and whether it was seeded."""
+
+    def __init__(self):
+        super().__init__()
+        self.given: list[tuple[list, bool]] = []
+
+    def clear(self):
+        super().clear()
+        self.given.clear()
+
+
 @pytest.fixture
 def conversions(monkeypatch):
-    """The dimension of each DD conversion (``_dd_cone`` call) the test runs."""
-    calls = []
+    """The ``Conversions`` of the test."""
+    calls = Conversions()
     original = polyhedron._dd_cone
 
-    def counted(dim, rows):
+    def counted(dim, rows, seed=None):
+        rows = list(rows)
         calls.append(dim)
-        return original(dim, rows)
+        calls.given.append((rows, seed is not None))
+        return original(dim, rows, seed)
 
     monkeypatch.setattr(polyhedron, "_dd_cone", counted)
     return calls

@@ -106,9 +106,9 @@ class TestLazyConversion:
         calls = []  # ("dd" | "dual", homogeneous dimension) per conversion
         dd_cone, dual_rows = polyhedron._dd_cone, polyhedron._dual_rows
 
-        def counting_dd_cone(dim, rows):
+        def counting_dd_cone(dim, rows, seed=None):
             calls.append(("dd", dim))
-            return dd_cone(dim, rows)
+            return dd_cone(dim, rows, seed)
 
         def counting_dual_rows(hom_dim, lines, rays):
             calls.append(("dual", hom_dim))

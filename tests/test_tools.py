@@ -104,6 +104,37 @@ def test_check_digests_counts_the_conversions_of_runs_not_of_checks():
     assert polyhedron._dd_cone is conversions.real
 
 
+def test_check_digests_splits_the_conversions_into_forward_seeded_and_dual():
+    check_digests = tool("check_digests")
+    x, y = Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)
+    cut = Constraint((-1, -1), -1, Rel.GE)  # x + y <= 1
+
+    class Kind:
+        @staticmethod
+        def run(spec, prepared):
+            p = Polyhedron.from_constraints(2, Topology.CLOSED, [x, y])
+            p.is_empty()  # from scratch, three rows: x >= 0, y >= 0, 1 >= 0
+            q = p.intersection(Polyhedron.from_constraints(2, Topology.CLOSED, [cut]))
+            q.is_empty()  # seeded from p's generators, one row: x + y <= 1
+            q.minimized_constraints()  # dual, three rows: q's three vertices
+            return q, ""
+
+        @staticmethod
+        def check(spec, prepared, result):
+            Polyhedron.from_constraints(2, Topology.CLOSED, [cut]).minimized_constraints()
+            return []  # two conversions, not counted
+
+    conversions = check_digests.Conversions()
+    counted = check_digests.counting(Kind, conversions, check_digests.Fractions(),
+                                     check_digests.Inclusions())
+    result, _ = counted.run({}, None)
+    assert counted.check({}, None, result) == []
+    assert conversions.by_kind == {"forward": [1, 3], "seeded": [1, 1], "dual": [1, 3]}
+    assert (conversions.calls, conversions.rows) == (3, 7)
+    assert polyhedron._dd_cone is conversions.real
+    assert polyhedron._dual_rows is conversions.real_dual_rows
+
+
 def test_check_digests_counts_the_fractions_of_set_up_and_runs_not_of_checks():
     check_digests = tool("check_digests")
     original = Fraction.__dict__["__new__"]

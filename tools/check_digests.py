@@ -7,7 +7,9 @@ oracle checks on, and compares every item's rendered output with its
 digest in ``perfbench/digests.json``.  Prints each failing item and
 exits 1 if any item failed; it measures no benchmark metric.  It also
 prints how many conversions (``_dd_cone`` calls) the items ran and how
-many rows they were given, how many pairs they asked an inclusion test
+many rows they were given, in total and split into forward conversions
+from scratch, forward conversions seeded from an operand's generators,
+and dual conversions, how many pairs they asked an inclusion test
 about (the candidate pairs), how many of those the closure boxes turned
 down (``Polyhedron.box_excludes`` answering yes) and how many went to the
 full test (``Polyhedron.contains`` calls) and answered yes there, how
@@ -36,17 +38,37 @@ from polyinv.powerset import PolySet  # noqa: E402
 
 
 class Conversions:
-    """A stand-in for ``polyhedron._dd_cone`` that counts its calls and rows."""
+    """A stand-in for ``polyhedron._dd_cone`` that counts its calls and rows,
+    in total and by kind: forward from scratch, seeded forward, and dual
+    (the calls made inside ``polyhedron._dual_rows``, which ``dual_rows``
+    stands in for)."""
 
     def __init__(self):
-        self.calls = self.rows = 0
-        self.real = polyhedron._dd_cone
+        self.by_kind = {"forward": [0, 0], "seeded": [0, 0], "dual": [0, 0]}  # [calls, rows]
+        self.real, self.real_dual_rows = polyhedron._dd_cone, polyhedron._dual_rows
+        self.in_dual = False
 
-    def __call__(self, dim, rows):
+    @property
+    def calls(self) -> int:
+        return sum(calls for calls, _ in self.by_kind.values())
+
+    @property
+    def rows(self) -> int:
+        return sum(rows for _, rows in self.by_kind.values())
+
+    def __call__(self, dim, rows, seed=None):
         rows = list(rows)
-        self.calls += 1
-        self.rows += len(rows)
-        return self.real(dim, rows)
+        counts = self.by_kind["dual" if self.in_dual else "forward" if seed is None else "seeded"]
+        counts[0] += 1
+        counts[1] += len(rows)
+        return self.real(dim, rows, seed)
+
+    def dual_rows(self, hom_dim, lines, rays):
+        self.in_dual = True
+        try:
+            return self.real_dual_rows(hom_dim, lines, rays)
+        finally:
+            self.in_dual = False
 
 
 class Fractions:
@@ -119,12 +141,13 @@ def counting(kind, conversions: Conversions, fractions: Fractions, inclusions: I
     class Counted(kind):
         @staticmethod
         def run(spec, prepared):
-            polyhedron._dd_cone = conversions
+            polyhedron._dd_cone, polyhedron._dual_rows = conversions, conversions.dual_rows
             try:
                 with fractions.counting("run"), inclusions.counting():
                     return kind.run(spec, prepared)
             finally:
                 polyhedron._dd_cone = conversions.real
+                polyhedron._dual_rows = conversions.real_dual_rows
 
     return Counted
 
@@ -143,6 +166,9 @@ def check(workload: str) -> int:
     print(f"{workload}: {len(specs)} items, {len(p.failures)} failed "
           f"({time.perf_counter() - t0:.1f} s)")
     print(f"{workload}: {conversions.calls} _dd_cone calls on {conversions.rows} rows")
+    (fc, fr), (sc, sr), (dc, dr) = conversions.by_kind.values()
+    print(f"{workload}: {fc} forward conversions from scratch on {fr} rows, "
+          f"{sc} seeded on {sr} rows, {dc} dual conversions on {dr} rows")
     print(f"{workload}: {inclusions.pairs} candidate pairs for inclusion tests, "
           f"{inclusions.rejected} rejected by the closure boxes, {inclusions.tests} full tests "
           f"({inclusions.yes} answered yes), {inclusions.reduces} PolySet.reduce calls")
