@@ -12,9 +12,7 @@ from .linalg import (
     GenKind,
     Generator,
     Rel,
-    SatResult,
     canonicalize_constraint,
-    satisfies,
 )
 from .polyhedron import (
     GeneratorSystemError,
@@ -35,11 +33,9 @@ __all__ = [
     "PolySet",
     "Polyhedron",
     "Rel",
-    "SatResult",
     "Topology",
     "TopologyError",
     "WideningPreconditionError",
     "canonicalize_constraint",
-    "satisfies",
     "standard_widening",
 ]

@@ -17,18 +17,23 @@ non-subsumed recurrence re-expands the node in place with
 the store joined (`delay` times) and then widened, which guarantees
 termination.
 
+The engine runs on regions (a ``Polyhedron`` or a ``PolySet``) through
+the lattice verbs both answer, as the reach engine does; an
+``AbstractStore`` pairs a region with the variable names only at the
+edges, as the initial store and the stores of the result.
+
 Each assignment and test is compiled on its first visit, in integers:
 an affine expression to a row ``(const, c_1..c_n)``, a test and branch
 to the one-row polyhedra it meets.  A loop in another loop's body is
-memoized by its entry store's minimized constraints; a repeated entry
-replays the recorded stores.  ``widenings`` and ``delayed_joins`` count
+memoized by its entry region's minimized constraints; a repeated entry
+replays the recorded regions.  ``widenings`` and ``delayed_joins`` count
 the work done, so a replay adds nothing to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import imp
 from .domains import Interval, int_arith
@@ -46,16 +51,15 @@ class AnalysisError(RuntimeError):
 MAX_LOCAL_ITERATIONS = 64
 
 
+Region = Polyhedron | PolySet
+
+
 @dataclass(frozen=True)
 class AbstractStore:
     """A polyhedral (or disjunctive) store over the declared variables."""
 
     variables: tuple[str, ...]
-    value: Polyhedron | PolySet
-
-    @property
-    def dim(self) -> int:
-        return len(self.variables)
+    value: Region
 
     @staticmethod
     def top(variables: Sequence[str], domain: str = "poly") -> AbstractStore:
@@ -69,37 +73,9 @@ class AbstractStore:
         p = Polyhedron.from_constraints(len(variables), Topology.CLOSED, _tighten_strict(cs))
         return AbstractStore(tuple(variables), lift(p, domain))
 
-    # lattice ----------------------------------------------------------------
-
-    def is_bottom(self) -> bool:
-        return self.value.is_bottom()
-
-    def join(self, other: AbstractStore) -> AbstractStore:
-        return self._with(self.value.join(other.value))
-
-    def leq(self, other: AbstractStore) -> bool:
-        return self.value.entails(other.value)
-
-    def equals(self, other: AbstractStore) -> bool:
-        return self.value.equals(other.value)
-
-    def widen(self, newer: AbstractStore, cap: int) -> AbstractStore:
-        return self._with(self.value.widen(newer.value, cap))
-
-    def lift_image(self, op: Callable[[Polyhedron], Polyhedron]) -> AbstractStore:
-        return self._with(self.value.lift_image(op))
-
     def contains_concrete(self, store: Mapping[str, int]) -> bool:
         point = [store[v] for v in self.variables]
         return self.value.contains_point(point)
-
-    def key(self) -> tuple:
-        """The minimized constraints, per disjunct: equal keys print equal stores."""
-        parts = self.value.elements if isinstance(self.value, PolySet) else (self.value,)
-        return tuple(p.minimized_constraints() for p in parts)
-
-    def _with(self, value) -> AbstractStore:
-        return AbstractStore(self.variables, value)
 
     def pretty(self) -> str:
         if isinstance(self.value, PolySet):
@@ -108,6 +84,12 @@ class AbstractStore:
             parts = [p.constraints_pretty(self.variables) for p in self.value.elements]
             return " | ".join(sorted(parts))
         return self.value.constraints_pretty(self.variables)
+
+
+def region_key(value: Region) -> tuple:
+    """The minimized constraints, per disjunct: equal keys print equal stores."""
+    parts = value.elements if isinstance(value, PolySet) else (value,)
+    return tuple(p.minimized_constraints() for p in parts)
 
 
 def _tighten_strict(cs: Sequence[Constraint]) -> list[Constraint]:
@@ -184,53 +166,56 @@ def _test_pieces(b: imp.Compare, branch: bool, variables: Sequence[str]):
     return (half(d, "="),) if branch else (half(below, ">="), half(above, ">="))
 
 
-def filter_store(store: AbstractStore, b: imp.Bexp, branch: bool, compiled=None) -> AbstractStore:
+def filter_store(
+    value: Region, variables: Sequence[str], b: imp.Bexp, branch: bool, compiled=None
+) -> Region:
     """Sound Boolean filter (phi_tt / phi_ff); ``compiled`` keeps tests by (pid, branch)."""
-    if store.is_bottom():
-        return store
+    if value.is_bottom():
+        return value
     if isinstance(b, imp.BoolLit):
         if b.value == branch:
-            return store
-        return store.lift_image(lambda p: Polyhedron.empty(p.dim, p.topology))
+            return value
+        return value.lift_image(lambda p: Polyhedron.empty(p.dim, p.topology))
     assert isinstance(b, imp.Compare)
     compiled = {} if compiled is None else compiled
     if (b.pid, branch) not in compiled:  # first visit: compile the test
-        compiled[b.pid, branch] = _test_pieces(b, branch, store.variables)
+        compiled[b.pid, branch] = _test_pieces(b, branch, variables)
     pieces = compiled[b.pid, branch]
     if pieces is None:
-        return store  # non-affine side: identity is sound
+        return value  # non-affine side: identity is sound
     if len(pieces) == 1:
-        return store.lift_image(lambda p: p.intersection(pieces[0]))
-    if isinstance(store.value, PolySet):
-        elements = store.value.elements
-        split = [p.intersection(piece) for piece in pieces for p in elements]
-        return store._with(PolySet.reduce(store.dim, Topology.CLOSED, split))
-    return store  # convex domain cannot express the complement of a hyperplane
+        return value.lift_image(lambda p: p.intersection(pieces[0]))
+    if isinstance(value, PolySet):
+        split = [p.intersection(piece) for piece in pieces for p in value.elements]
+        return PolySet.reduce(value.dim, Topology.CLOSED, split)
+    return value  # convex domain cannot express the complement of a hyperplane
 
 
-def abstract_assign(store: AbstractStore, name: str, e: imp.Aexp, compiled=None) -> AbstractStore:
+def abstract_assign(
+    value: Region, variables: Sequence[str], name: str, e: imp.Aexp, compiled=None
+) -> Region:
     """The image of ``name := e``; ``compiled`` keeps expression rows by pid."""
-    if name not in store.variables:
+    if name not in variables:
         raise ValueError(f"assignment to undeclared variable {name!r}")
-    if store.is_bottom():
-        return store
-    k = store.variables.index(name)
+    if value.is_bottom():
+        return value
+    k = variables.index(name)
     compiled = {} if compiled is None else compiled
     if e.pid not in compiled:  # first visit: compile the expression
-        compiled[e.pid] = affine_row(e, store.variables)
+        compiled[e.pid] = affine_row(e, variables)
     row = compiled[e.pid]
     if row is not None:
-        return store.lift_image(lambda p: p.affine_image(k, row))
-    n = store.dim
+        return value.lift_image(lambda p: p.affine_image(k, row))
+    n = len(variables)
 
     def interval_image(p: Polyhedron) -> Polyhedron:
-        iv = abstract_eval_aexp(e, p, store.variables)
+        iv = abstract_eval_aexp(e, p, variables)
         if iv.is_bottom():
             return Polyhedron.empty(n, Topology.CLOSED)
         lo, hi = [None if b is None else [b] + [0] * n for b in (iv.lo, iv.hi)]
         return p.bounded_affine_image(k, lo, hi)
 
-    return store.lift_image(interval_image)
+    return value.lift_image(interval_image)
 
 
 # ---------------------------------------------------------------------------
@@ -249,67 +234,73 @@ class AnalysisResult:
 def analyze(
     program: imp.Program, initial: AbstractStore, opts: AnalysisOptions = AnalysisOptions()
 ) -> AnalysisResult:
-    if tuple(initial.variables) != tuple(program.variables):
+    variables = tuple(initial.variables)
+    if variables != tuple(program.variables):
         raise ValueError("initial store variables differ from the program's")
-    result = AnalysisResult({}, initial, {})
+    entries: dict[int, Region] = {}
+    invariants: dict[int, Region] = {}
     compiled: dict = {}  # rows of expressions by pid, test polyhedra by (pid, branch)
-    memo: dict = {}  # inner loop runs by (pid, entry key): exit store, subtree stores
-    open_loops = 0
+    memo: dict = {}  # inner loop runs by (pid, entry key): exit region, subtree regions
+    open_loops = widenings = delayed_joins = 0
 
-    def eval_stmt(s: imp.Stmt, store: AbstractStore) -> AbstractStore:
-        result.entries[s.pid] = store
+    def eval_stmt(s: imp.Stmt, value: Region) -> Region:
+        entries[s.pid] = value
         if isinstance(s, imp.Skip):
-            return store
+            return value
         if isinstance(s, imp.Assign):
-            return abstract_assign(store, s.name, s.expr, compiled)
+            return abstract_assign(value, variables, s.name, s.expr, compiled)
         if isinstance(s, imp.Seq):  # a loop along the chain, however long
-            store = eval_stmt(s.first, store)
+            value = eval_stmt(s.first, value)
             while isinstance(s.second, imp.Seq):
                 s = s.second
-                result.entries[s.pid] = store
-                store = eval_stmt(s.first, store)
-            return eval_stmt(s.second, store)
+                entries[s.pid] = value
+                value = eval_stmt(s.first, value)
+            return eval_stmt(s.second, value)
         if isinstance(s, imp.If):
-            then_out = eval_stmt(s.then, filter_store(store, s.cond, True, compiled))
-            else_out = eval_stmt(s.orelse, filter_store(store, s.cond, False, compiled))
+            then_out = eval_stmt(s.then, filter_store(value, variables, s.cond, True, compiled))
+            else_out = eval_stmt(s.orelse, filter_store(value, variables, s.cond, False, compiled))
             return then_out.join(else_out)
         assert isinstance(s, imp.While)
-        return eval_while(s, store)
+        return eval_while(s, value)
 
-    def eval_while(w: imp.While, store: AbstractStore) -> AbstractStore:
-        nonlocal open_loops
-        key = (w.pid, store.key()) if open_loops else None
+    def eval_while(w: imp.While, value: Region) -> Region:
+        nonlocal open_loops, widenings, delayed_joins
+        key = (w.pid, region_key(value)) if open_loops else None
         if key in memo:  # an inner loop entered as before: replay its run
             out, saved = memo[key]
-            for table, stores in saved:
-                table.update(stores)
+            for table, regions in saved:
+                table.update(regions)
             return out
         open_loops += 1
-        head = store
+        head = value
         delay_left = opts.delay
         for _ in range(MAX_LOCAL_ITERATIONS):
-            result.entries[w.pid] = head
-            body_out = eval_stmt(w.body, filter_store(head, w.cond, True, compiled))
-            if body_out.leq(head):
+            entries[w.pid] = head
+            body_out = eval_stmt(w.body, filter_store(head, variables, w.cond, True, compiled))
+            if body_out.entails(head):
                 # subsumed recurrence: the least r = filter_ff(head) join r is filter_ff(head)
-                result.loop_invariants[w.pid] = head
-                out = filter_store(head, w.cond, False, compiled)
+                invariants[w.pid] = head
+                out = filter_store(head, variables, w.cond, False, compiled)
                 break
             if delay_left > 0:
                 delay_left -= 1
-                result.delayed_joins += 1
+                delayed_joins += 1
                 head = head.join(body_out)
             else:
-                result.widenings += 1
+                widenings += 1
                 head = head.widen(head.join(body_out), opts.cap)
         else:
             raise AnalysisError("loop analysis failed to stabilize (engine bug)")
         open_loops -= 1
         if key is not None:
             pids = [s.pid for s in imp.walk_statements(w)]
-            tables = (result.entries, result.loop_invariants)
-            memo[key] = out, [(t, {p: t[p] for p in pids if p in t}) for t in tables]
+            memo[key] = out, [(t, {p: t[p] for p in pids if p in t}) for t in (entries, invariants)]
         return out
 
-    result.exit_store = eval_stmt(program.body, initial)
-    return result
+    exit_value = eval_stmt(program.body, initial.value)
+
+    def stores(table: dict[int, Region]) -> dict[int, AbstractStore]:
+        return {pid: AbstractStore(variables, r) for pid, r in table.items()}
+
+    exit_store = AbstractStore(variables, exit_value)
+    return AnalysisResult(stores(entries), exit_store, stores(invariants), widenings, delayed_joins)

@@ -53,12 +53,6 @@ class Rel(Enum):
     GT = ">"
 
 
-class SatResult(Enum):
-    SATISFIES = "satisfies"
-    SATURATES = "saturates"
-    VIOLATES = "violates"
-
-
 @dataclass(frozen=True)
 class Constraint:
     """Canonical integer form of ``<coeffs, x> rel rhs``.
@@ -189,23 +183,6 @@ class Generator:
 
     def sort_key(self):
         return (_KIND_ORDER[self.kind], self.coeffs, self.divisor)
-
-
-def satisfies(c: Constraint, g: Generator) -> SatResult:
-    """Classify a generator against a constraint.
-
-    Points and closure points are tested on ``<a, v> rel b``, rays on
-    the homogeneous form ``<a, r> rel 0``.  SATURATES means the equality
-    holds exactly; strictness interpretation is left to the caller.
-    """
-    if c.dim != g.dim:
-        raise DimensionError(f"constraint dimension {c.dim} vs generator dimension {g.dim}")
-    value = sum(a * x for a, x in zip(c.coeffs, g.coeffs)) - c.rhs * g.divisor
-    if value == 0:
-        return SatResult.SATURATES
-    if c.rel is Rel.EQ:
-        return SatResult.VIOLATES
-    return SatResult.SATISFIES if value > 0 else SatResult.VIOLATES
 
 
 # ---------------------------------------------------------------------------

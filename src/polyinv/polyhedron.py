@@ -944,24 +944,19 @@ class Polyhedron:
                 new_rays.append(v)
         return Polyhedron._from_rep_gens(self._dim, self._topology, lines + dlines, new_rays)
 
-    def topological_closure(self, *, as_closed: bool = False) -> Polyhedron:
-        if self._topology is Topology.CLOSED:
-            return self
-        target = Topology.CLOSED if as_closed else Topology.NNC
-        if not as_closed and self._is_closed_rows():
+    def topological_closure(self) -> Polyhedron:
+        if self._topology is Topology.CLOSED or self._is_closed_rows():
             return self
         if self.is_empty():
-            return Polyhedron.empty(self._dim, target)
-        # the embedding's generators with the slack dropped, or set to xi0 and
-        # to 0: they generate the closure's encoded set proj_x(E) x [0, 1]
+            return Polyhedron.empty(self._dim, Topology.NNC)
+        # the embedding's generators with the slack set to xi0 and to 0: they
+        # generate the closure's encoded set proj_x(E) x [0, 1]; the two lifts
+        # of a line or ray coincide, kept once
         lines, rays = self._minimal_gens()
         cut = 1 + self._dim
-        if as_closed:
-            lifted = [[r[:cut] for r in vecs] for vecs in (lines, rays)]
-        else:  # the two lifts of a line or ray coincide, kept once
-            lifted = [[r[:cut] + (s,) for r in vecs for s in (r[0], 0)] for vecs in (lines, rays)]
+        lifted = [[r[:cut] + (s,) for r in vecs for s in (r[0], 0)] for vecs in (lines, rays)]
         new_lines, new_rays = [list(dict.fromkeys(map(_norm, vecs))) for vecs in lifted]
-        return Polyhedron._from_rep_gens(self._dim, target, new_lines, new_rays)
+        return Polyhedron._from_rep_gens(self._dim, Topology.NNC, new_lines, new_rays)
 
     def _is_closed_rows(self) -> bool:
         """Whether self holds rows, none with a slack coefficient but the side

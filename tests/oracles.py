@@ -312,22 +312,18 @@ def fraction_constraints(p) -> tuple[Constraint, ...]:
     return tuple(sorted(seen.values(), key=Constraint.sort_key))
 
 
-def emitted_closure(p, as_closed: bool = False):
+def emitted_closure(p):
     """The topological closure of an NNC value, built by encoding its emitted
     generators as ``from_generators`` would, closure points made points."""
-    target = Topology.CLOSED if as_closed else Topology.NNC
     if p.is_empty():
-        return Polyhedron.empty(p.dim, target)
-    slack = () if as_closed else (0,)
+        return Polyhedron.empty(p.dim, Topology.NNC)
     rays = []
     for g in p._emitted_gens():
         if g.kind is GenKind.RAY:
-            rays.append((0, *g.coeffs, *slack))
-        elif as_closed:
-            rays.append((g.divisor, *g.coeffs))
+            rays.append((0, *g.coeffs, 0))
         else:
             rays += [(g.divisor, *g.coeffs, g.divisor), (g.divisor, *g.coeffs, 0)]
-    return Polyhedron._from_rep_gens(p.dim, target, [], rays)
+    return Polyhedron._from_rep_gens(p.dim, Topology.NNC, [], rays)
 
 
 def rows_intersection(p, q):

@@ -55,58 +55,58 @@ class TestFilters:
     def test_filter_tt_tightens_and_simplifies(self):
         q0 = store("2*x0+3*x1>=5, x1>=1")
         prog = parse_program(LOOP)
-        out = filter_store(q0, prog.body.cond, True)
-        assert out.value.equals(poly("x0>=1, x1>=1"))
+        out = filter_store(q0.value, q0.variables, prog.body.cond, True)
+        assert out.equals(poly("x0>=1, x1>=1"))
 
     def test_filter_ff(self):
         q0 = store("2*x0+3*x1>=5, x1>=1")
         prog = parse_program(LOOP)
-        out = filter_store(q0, prog.body.cond, False)
-        assert out.value.equals(poly("2*x0+3*x1>=5, x0<=0"))
+        out = filter_store(q0.value, q0.variables, prog.body.cond, False)
+        assert out.equals(poly("2*x0+3*x1>=5, x0<=0"))
 
     def test_filter_bool_literal(self):
         s = store("x0>=1, x1=1")
         prog = parse_program("while true do skip")
-        assert filter_store(s, prog.body.cond, True).equals(s)
-        assert filter_store(s, prog.body.cond, False).is_bottom()
+        assert filter_store(s.value, s.variables, prog.body.cond, True).equals(s.value)
+        assert filter_store(s.value, s.variables, prog.body.cond, False).is_bottom()
 
     def test_filter_ff_equality_poly_is_identity(self):
         s = store("x0>=0, x0<=4, x1=0")
         prog = parse_program("if x0 = 2 then skip else skip")
-        assert filter_store(s, prog.body.cond, False).equals(s)
+        assert filter_store(s.value, s.variables, prog.body.cond, False).equals(s.value)
 
     def test_filter_ff_equality_powerset_splits(self):
         s = store("x0>=0, x0<=4, x1=0", domain="powerset")
         prog = parse_program("if x0 = 2 then skip else skip")
-        out = filter_store(s, prog.body.cond, False)
-        assert len(out.value.elements) == 2
-        assert not out.value.contains_point([2, 0])
-        assert out.value.contains_point([1, 0]) and out.value.contains_point([3, 0])
+        out = filter_store(s.value, s.variables, prog.body.cond, False)
+        assert len(out.elements) == 2
+        assert not out.contains_point([2, 0])
+        assert out.contains_point([1, 0]) and out.contains_point([3, 0])
 
     def test_filter_nonaffine_identity(self):
         s = store("x0>=0, x0<=4, x1=0")
         prog = parse_program("if x0 * x0 = 4 then skip else skip")
-        assert filter_store(s, prog.body.cond, True).equals(s)
+        assert filter_store(s.value, s.variables, prog.body.cond, True).equals(s.value)
 
 
 class TestAssignment:
     def test_affine_assignment_exact(self):
         s = store("x0>=1, x1=1")
         prog = parse_program("x1 := x1 + 2")
-        out = abstract_assign(s, "x1", prog.body.expr)
-        assert out.value.equals(poly("x0>=1, x1=3"))
+        out = abstract_assign(s.value, s.variables, "x1", prog.body.expr)
+        assert out.equals(poly("x0>=1, x1=3"))
 
     def test_nonaffine_assignment_interval(self):
         s = store("x0>=1, x0<=2, x1=0")
         prog = parse_program("x0 := x0 * x0")
-        out = abstract_assign(s, "x0", prog.body.expr)
-        assert out.value.equals(poly("x0>=1, x0<=4, x1=0"))
+        out = abstract_assign(s.value, s.variables, "x0", prog.body.expr)
+        assert out.equals(poly("x0>=1, x0<=4, x1=0"))
 
     def test_constant_assignment_on_universe(self):
         s = AbstractStore.top(("x0", "x1"))
         prog = parse_program("x0 := 5")
-        out = abstract_assign(s, "x0", prog.body.expr)
-        assert out.value.equals(poly("x0=5"))
+        out = abstract_assign(s.value, s.variables, "x0", prog.body.expr)
+        assert out.equals(poly("x0=5"))
 
 
 class TestAnalyze:
@@ -125,7 +125,7 @@ class TestAnalyze:
         prog = parse_program("vars x0, x1;\nskip")
         init = store("x0>=1, x1=1")
         res = analyze(prog, init)
-        assert res.exit_store.equals(init)
+        assert res.exit_store.value.equals(init.value)
 
     def test_if_join(self):
         prog = parse_program("if 0 < x then x := 1 else x := 2")
@@ -187,7 +187,7 @@ class TestAnalyze:
     def test_true_loop_terminates(self):
         prog = parse_program("vars x;\nwhile true do x := x + 1")
         res = analyze(prog, AbstractStore.top(("x",)))
-        assert res.exit_store.is_bottom()
+        assert res.exit_store.value.is_bottom()
 
 
 def test_exit_store_covers_sampled_concrete_paths():

@@ -42,10 +42,10 @@ def values(draw, topology=NNC):
 
 
 @FUZZ
-@given(values(), st.booleans())
-def test_closure_equals_the_emission_based_closure(p, as_closed):
-    expected = emitted_closure(p, as_closed)
-    closure = p.topological_closure(as_closed=as_closed)
+@given(values())
+def test_closure_equals_the_emission_based_closure(p):
+    expected = emitted_closure(p)
+    closure = p.topological_closure()
     assert closure.topology is expected.topology
     assert closure.equals(expected)
     assert closure.minimized_constraints() == expected.minimized_constraints()
@@ -53,11 +53,11 @@ def test_closure_equals_the_emission_based_closure(p, as_closed):
 
 
 @settings(FUZZ, max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(values(), st.booleans())
-def test_closing_minimal_generators_runs_no_conversion(conversions, p, as_closed):
+@given(values())
+def test_closing_minimal_generators_runs_no_conversion(conversions, p):
     p._minimal_gens()
     conversions.clear()
-    p.topological_closure(as_closed=as_closed)
+    p.topological_closure()
     assert conversions == []
 
 

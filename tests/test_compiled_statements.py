@@ -98,7 +98,7 @@ def test_compiled_row_evaluates_like_the_interpreter(program):
 def test_assignment_is_exact_when_affine_and_an_interval_image_otherwise(program):
     names, s = program.variables, program.body
     store = box_store(names)
-    out = abstract_assign(store, s.name, s.expr)
+    out = AbstractStore(names, abstract_assign(store.value, names, s.name, s.expr))
     for point in points(names):
         image = dict(point, **{s.name: eval_aexp(s.expr, point)})
         assert out.contains_concrete(image)
@@ -118,10 +118,11 @@ def test_less_than_filters_match_the_interpreter(program):
     names, b = program.variables, program.body.cond
     for domain in ("poly", "powerset"):
         top = AbstractStore.top(names, domain)
-        yes, no = filter_store(top, b, True), filter_store(top, b, False)
+        yes, no = [AbstractStore(names, filter_store(top.value, names, b, branch))
+                   for branch in (True, False)]
         affine = affine_row(b.left, names) is not None and affine_row(b.right, names) is not None
         if not affine:
-            assert yes.equals(top) and no.equals(top)
+            assert yes.value.equals(top.value) and no.value.equals(top.value)
             continue
         for point in points(names):
             truth = eval_bexp(b, point)
@@ -135,11 +136,12 @@ def test_equality_filters_match_the_interpreter(program):
     names, b = program.variables, program.body.cond
     affine = affine_row(b.left, names) is not None and affine_row(b.right, names) is not None
     top = AbstractStore.top(names, "powerset")
-    yes, no = filter_store(top, b, True), filter_store(top, b, False)
-    poly_top = AbstractStore.top(names)
-    assert filter_store(poly_top, b, False).equals(poly_top)  # no convex complement
+    yes, no = [AbstractStore(names, filter_store(top.value, names, b, branch))
+               for branch in (True, False)]
+    poly_top = AbstractStore.top(names).value
+    assert filter_store(poly_top, names, b, False).equals(poly_top)  # no convex complement
     if not affine:
-        assert yes.equals(top) and no.equals(top)
+        assert yes.value.equals(top.value) and no.value.equals(top.value)
         return
     for point in points(names):
         truth = eval_bexp(b, point)
@@ -214,14 +216,15 @@ def test_each_statement_compiles_once(monkeypatch):
 
 def test_undeclared_names_raise_on_the_first_visit():
     program = parse_program("y := z + 1")
-    store = AbstractStore.top(("y",))
+    names, top = ("y",), AbstractStore.top(("y",)).value
     with pytest.raises(ValueError):
-        abstract_assign(store, "y", program.body.expr, {})
+        abstract_assign(top, names, "y", program.body.expr, {})
     test = parse_program("if z < 1 then skip else skip").body.cond
     with pytest.raises(ValueError):
-        filter_store(store, test, True, {})
-    bottom = filter_store(store, parse_program("while false do skip").body.cond, True)
-    assert abstract_assign(bottom, "y", program.body.expr, {}).is_bottom()  # nothing compiled
+        filter_store(top, names, test, True, {})
+    bottom = filter_store(top, names, parse_program("while false do skip").body.cond, True)
+    # nothing compiled: a bottom region is returned before the names are read
+    assert abstract_assign(bottom, names, "y", program.body.expr, {}).is_bottom()
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,7 @@ def printed(program, result):
 
 def _without_memo(monkeypatch):
     # a key no other store shares: every inner loop runs again
-    monkeypatch.setattr(AbstractStore, "key", lambda self: object())
+    monkeypatch.setattr(analyzer, "region_key", lambda value: object())
 
 
 def test_nested_loops_take_linear_work(monkeypatch):
@@ -257,7 +260,7 @@ def test_nested_loops_take_linear_work(monkeypatch):
 
 def test_top_level_loops_are_not_memoized(monkeypatch):
     keys = []
-    monkeypatch.setattr(AbstractStore, "key", lambda self: keys.append(self) or object())
+    monkeypatch.setattr(analyzer, "region_key", lambda value: keys.append(value) or object())
     program = parse_program("vars x, y;\nwhile x < 10 do x := x + 1; while y < x do y := y + 1")
     analyze(program, AbstractStore.top(program.variables), AnalysisOptions(delay=1))
     assert keys == []

@@ -4,7 +4,8 @@ Each ``.out`` file in ``tests/golden/`` holds the bytes one command printed
 when it was recorded; kernel changes that claim to keep the output must
 keep them.  Rerecord a file only for a change that means to alter that
 output.  A ``.poly`` file there is a ``polyinv poly`` script whose output
-is pinned the same way.
+is pinned the same way, and so is an ``.imp`` file there under
+``polyinv analyze`` with the options ``IMP_OPTIONS`` gives it.
 """
 
 import io
@@ -33,6 +34,12 @@ CASES = {
 
 
 SCRIPTS = sorted(path.stem for path in GOLDEN.glob("*.poly"))
+PROGRAMS = sorted(path.stem for path in GOLDEN.glob("*.imp"))
+
+IMP_OPTIONS = {
+    # an equality test split by the powerset filter, and a memoized inner loop
+    "analyze-split": ("--domain", "powerset", "--delay", "1", "--assume", "x=0, y=0"),
+}
 
 
 def assert_recorded(name, argv):
@@ -55,3 +62,8 @@ def test_stdout_is_the_recorded_bytes(name, tmp_path):
 def test_poly_script_prints_the_recorded_bytes(name):
     # every poly operation on NNC and generator-built operands
     assert_recorded(name, ["poly", str(GOLDEN / f"{name}.poly")])
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_analyzed_program_prints_the_recorded_bytes(name):
+    assert_recorded(name, ["analyze", str(GOLDEN / f"{name}.imp"), *IMP_OPTIONS[name]])

@@ -157,7 +157,6 @@ def test_a_strict_row_keeps_the_source_flow_a_meet():
     flow = _source_flow(p, act)
     assert flow is not p
     assert flow.constraints_pretty(["x", "y"]) == "{y>=0, x>0}"
-    assert p.topological_closure(as_closed=True).topology is CLOSED
 
 
 # -- why contains keeps its emptiness test --------------------------------------

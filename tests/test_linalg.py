@@ -5,14 +5,10 @@ from hypothesis import given, strategies as st
 
 from polyinv.linalg import (
     Constraint,
-    DimensionError,
-    GenKind,
     Generator,
     Rel,
-    SatResult,
     canonicalize_constraint,
     format_constraint,
-    satisfies,
 )
 
 
@@ -58,28 +54,6 @@ def test_canonicalize_positive_scaling_invariant(coeffs, rhs, rel, num, den):
     base = canonicalize_constraint(coeffs, rel, rhs)
     scaled = canonicalize_constraint([lam * c for c in coeffs], rel, lam * rhs)
     assert base == scaled
-
-
-def test_satisfies_examples():
-    c = canonicalize_constraint([1, 1], ">=", 2)  # x + y >= 2
-    assert satisfies(c, Generator.point([1, 1])) is SatResult.SATURATES
-    c2 = canonicalize_constraint([1, 0], ">=", 0)  # x >= 0
-    assert satisfies(c2, Generator.ray([-1, 0])) is SatResult.VIOLATES
-    c3 = canonicalize_constraint([2, 3], ">=", 5)
-    assert satisfies(c3, Generator.point([1, 1])) is SatResult.SATURATES
-
-
-def test_satisfies_invariant_under_canonicalization():
-    raw = canonicalize_constraint([Fraction(4), Fraction(6)], ">=", Fraction(10))
-    canon = canonicalize_constraint([2, 3], ">=", 5)
-    g = Generator.point([3, 1], 2)
-    assert satisfies(raw, g) is satisfies(canon, g)
-
-
-def test_satisfies_dimension_mismatch():
-    c = canonicalize_constraint([1], ">=", 0)
-    with pytest.raises(DimensionError):
-        satisfies(c, Generator.point([1, 2]))
 
 
 def test_generator_normalization():

@@ -82,7 +82,6 @@ def test_universe_and_empty_nnc_forms():
     assert u.is_universe() and u.minimized_constraints() == ()
     e = Polyhedron.empty(2, Topology.NNC)
     assert e.minimized_generators() == ()
-    assert e.topological_closure(as_closed=True).is_empty()
 
 
 def test_generators_of_half_open_segment():

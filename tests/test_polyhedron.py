@@ -367,12 +367,6 @@ class TestClosure:
     def test_closure_of_empty(self):
         assert Polyhedron.empty(2, Topology.NNC).topological_closure().is_empty()
 
-    def test_closure_as_closed(self):
-        p = poly("w>0", n=1, index={"w": 0}, topology=Topology.NNC)
-        c = p.topological_closure(as_closed=True)
-        assert c.topology is Topology.CLOSED
-        assert c.equals(poly("w>=0", n=1, index={"w": 0}))
-
 
 class TestSurgery:
     def test_concatenate(self):

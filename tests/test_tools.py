@@ -96,7 +96,7 @@ def test_check_digests_counts_the_conversions_of_runs_not_of_checks():
 
     conversions = check_digests.Conversions()
     counted = check_digests.counting(Kind, conversions, check_digests.Fractions(),
-                                     check_digests.Inclusions())
+                                     check_digests.Inclusions(), check_digests.Minimizations())
     cs = [Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)]
     result, _ = counted.run({}, cs)
     assert counted.check({}, cs, result) == []
@@ -126,7 +126,7 @@ def test_check_digests_splits_the_conversions_into_forward_seeded_and_dual():
 
     conversions = check_digests.Conversions()
     counted = check_digests.counting(Kind, conversions, check_digests.Fractions(),
-                                     check_digests.Inclusions())
+                                     check_digests.Inclusions(), check_digests.Minimizations())
     result, _ = counted.run({}, None)
     assert counted.check({}, None, result) == []
     assert conversions.by_kind == {"forward": [1, 3], "seeded": [1, 1], "dual": [1, 3]}
@@ -155,7 +155,7 @@ def test_check_digests_counts_the_fractions_of_set_up_and_runs_not_of_checks():
 
     fractions = check_digests.Fractions()
     counted = check_digests.counting(Kind, check_digests.Conversions(), fractions,
-                                     check_digests.Inclusions())
+                                     check_digests.Inclusions(), check_digests.Minimizations())
     with fractions.counting("prepare"):
         prepared = counted.prepare({})
     result, _ = counted.run({}, prepared)
@@ -187,7 +187,8 @@ def test_check_digests_counts_the_inclusion_tests_and_reduces_of_runs_not_of_che
 
     inclusions = check_digests.Inclusions()
     counted = check_digests.counting(Kind, check_digests.Conversions(),
-                                     check_digests.Fractions(), inclusions)
+                                     check_digests.Fractions(), inclusions,
+                                     check_digests.Minimizations())
     result, _ = counted.run({}, None)
     assert counted.check({}, None, result) == []
     assert len(result.elements) == 2
@@ -195,3 +196,30 @@ def test_check_digests_counts_the_inclusion_tests_and_reduces_of_runs_not_of_che
     assert (inclusions.yes, inclusions.reduces) == (1, 1)
     assert [vars(Polyhedron)["box_excludes"], vars(Polyhedron)["contains"],
             vars(PolySet)["reduce"]] == real
+
+
+def test_check_digests_counts_the_fresh_and_cached_minimizations_of_runs_not_of_checks():
+    check_digests = tool("check_digests")
+    real = vars(Polyhedron)["minimized_constraints"]
+    x = [Constraint((1,), 0, Rel.GE)]
+
+    class Kind:
+        @staticmethod
+        def run(spec, prepared):
+            p = Polyhedron.from_constraints(1, Topology.CLOSED, x)
+            p.minimized_constraints()  # fresh: the first emission
+            return p, p.constraints_pretty(["x"])  # cached: rendering reads the same rows
+
+        @staticmethod
+        def check(spec, prepared, result):
+            result.minimized_constraints()  # not counted
+            Polyhedron.universe(1, Topology.CLOSED).minimized_constraints()  # not counted
+            return []
+
+    minimizations = check_digests.Minimizations()
+    counted = check_digests.counting(Kind, check_digests.Conversions(), check_digests.Fractions(),
+                                     check_digests.Inclusions(), minimizations)
+    result, text = counted.run({}, None)
+    assert counted.check({}, None, result) == [] and text == "{x>=0}"
+    assert (minimizations.fresh, minimizations.cached) == (1, 1)
+    assert vars(Polyhedron)["minimized_constraints"] is real

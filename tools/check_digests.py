@@ -13,8 +13,10 @@ and dual conversions, how many pairs they asked an inclusion test
 about (the candidate pairs), how many of those the closure boxes turned
 down (``Polyhedron.box_excludes`` answering yes) and how many went to the
 full test (``Polyhedron.contains`` calls) and answered yes there, how
-many ``PolySet.reduce`` calls they made, and how many
-``Fraction`` objects their set-up (``prepare``) and their runs
+many ``PolySet.reduce`` calls they made, how many
+``Polyhedron.minimized_constraints`` calls they made, split into fresh
+ones (the value had not emitted its constraints before) and cached
+ones, and how many ``Fraction`` objects their set-up (``prepare``) and their runs
 constructed, the oracle checks not counted.  From Python 3.12 on
 ``Fraction`` arithmetic makes its results without ``Fraction.__new__``,
 so the count covers constructions only; before 3.12 it also counts each
@@ -134,16 +136,43 @@ class Inclusions:
             PolySet.reduce = reduce
 
 
-def counting(kind, conversions: Conversions, fractions: Fractions, inclusions: Inclusions):
+class Minimizations:
+    """Counts ``Polyhedron.minimized_constraints`` calls inside ``counting()``:
+    fresh ones, on a value that has not emitted its constraints yet, and
+    cached ones, which return the constraints emitted before."""
+
+    def __init__(self):
+        self.fresh = self.cached = 0
+
+    @contextmanager
+    def counting(self):
+        real = vars(Polyhedron)["minimized_constraints"]
+
+        def counted(p):
+            if p._out_cons is None:
+                self.fresh += 1
+            else:
+                self.cached += 1
+            return real(p)
+
+        Polyhedron.minimized_constraints = counted
+        try:
+            yield
+        finally:
+            Polyhedron.minimized_constraints = real
+
+
+def counting(kind, conversions: Conversions, fractions: Fractions, inclusions: Inclusions,
+             minimizations: Minimizations):
     """``kind`` with its items' runs, and not its checks, counted by
-    ``conversions``, ``fractions`` and ``inclusions``."""
+    ``conversions``, ``fractions``, ``inclusions`` and ``minimizations``."""
 
     class Counted(kind):
         @staticmethod
         def run(spec, prepared):
             polyhedron._dd_cone, polyhedron._dual_rows = conversions, conversions.dual_rows
             try:
-                with fractions.counting("run"), inclusions.counting():
+                with fractions.counting("run"), inclusions.counting(), minimizations.counting():
                     return kind.run(spec, prepared)
             finally:
                 polyhedron._dd_cone = conversions.real
@@ -154,13 +183,14 @@ def counting(kind, conversions: Conversions, fractions: Fractions, inclusions: I
 
 def check(workload: str) -> int:
     kind, conversions, fractions = harness.KINDS[workload], Conversions(), Fractions()
-    inclusions = Inclusions()
+    inclusions, minimizations = Inclusions(), Minimizations()
     specs = inputs.pool(workload)
     t0 = time.perf_counter()
     with fractions.counting("prepare"):
         prepared = [kind.prepare(s) for s in specs]
-    p = harness.run_pass(counting(kind, conversions, fractions, inclusions), specs, prepared,
-                         harness.TIMEOUTS[workload], check=True, expected=harness.load_digests())
+    counted = counting(kind, conversions, fractions, inclusions, minimizations)
+    p = harness.run_pass(counted, specs, prepared, harness.TIMEOUTS[workload], check=True,
+                         expected=harness.load_digests())
     for i, why in sorted(p.failures.items()):
         print(f"{workload} {specs[i]['key']}: {why}")
     print(f"{workload}: {len(specs)} items, {len(p.failures)} failed "
@@ -172,6 +202,9 @@ def check(workload: str) -> int:
     print(f"{workload}: {inclusions.pairs} candidate pairs for inclusion tests, "
           f"{inclusions.rejected} rejected by the closure boxes, {inclusions.tests} full tests "
           f"({inclusions.yes} answered yes), {inclusions.reduces} PolySet.reduce calls")
+    print(f"{workload}: {minimizations.fresh + minimizations.cached} "
+          f"Polyhedron.minimized_constraints calls, {minimizations.fresh} fresh and "
+          f"{minimizations.cached} cached")
     print(f"{workload}: {fractions.built['prepare']} Fraction constructions in set-up, "
           f"{fractions.built['run']} in runs")
     return len(p.failures)
