@@ -3,8 +3,9 @@
 Stores are abstracted by closed convex polyhedra (one dimension per
 declared variable) or by finite sets of them.  Statements are evaluated
 by the abstract big-step rules: assignments of affine expressions are
-exact single-update affine images, other assignments go through
-interval evaluation and a bounded affine image, and tests strengthen
+exact single-update affine images, other assignments evaluate their
+expression's integer range on the closure box of each polyhedron and
+assign it as a bounded affine image, and tests strengthen
 the store through Boolean filters (with strict integer comparisons
 tightened, e.g. ``a < b`` to ``a <= b - 1``, since variables range over
 the integers).
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import imp
-from .domains import Interval, int_arith
 from .linalg import Constraint, Rel, canonicalize_constraint
 from .polyhedron import Polyhedron, Topology
 # the analyzer's options are the domain options: name, widening delay and cap
@@ -123,24 +123,46 @@ def affine_row(e: imp.Aexp, variables: Sequence[str]) -> list[int] | None:
     return [factor * a for a in row]
 
 
-def _interval_of_dim(p: Polyhedron, k: int) -> Interval:
-    lo, hi = p.closure_box()[k]
-    lo, hi = None if lo is None else -(-lo[0] // lo[1]), None if hi is None else hi[0] // hi[1]
-    return Interval.bottom() if None not in (lo, hi) and lo > hi else Interval(lo, hi)
+Range = tuple[int | None, int | None]  # integer bounds, None for an unbounded end
 
 
-def abstract_eval_aexp(e: imp.Aexp, p: Polyhedron, variables: Sequence[str]) -> Interval:
-    """The integer interval of e's values over the polyhedron p."""
+def abstract_eval_aexp(e: imp.Aexp, p: Polyhedron, variables: Sequence[str]) -> Range | None:
+    """The integer range of e's values over p's closure box; None when p is
+    empty or a variable of e has no integer in its range."""
     if p.is_empty():
-        return Interval.bottom()
-    if isinstance(e, imp.IntLit):
-        return Interval.singleton(e.value)
-    if isinstance(e, imp.Var):
-        return _interval_of_dim(p, variables.index(e.name))
-    assert isinstance(e, imp.BinOp)
-    return int_arith(
-        e.op, abstract_eval_aexp(e.left, p, variables), abstract_eval_aexp(e.right, p, variables)
-    )
+        return None
+    box = p.closure_box()
+
+    def span(e: imp.Aexp) -> Range | None:
+        if isinstance(e, imp.IntLit):
+            return e.value, e.value
+        if isinstance(e, imp.Var):  # the closure's bounds, rounded inward to integers
+            lo, hi = box[variables.index(e.name)]
+            lo = None if lo is None else -(-lo[0] // lo[1])
+            hi = None if hi is None else hi[0] // hi[1]
+            return None if None not in (lo, hi) and lo > hi else (lo, hi)
+        assert isinstance(e, imp.BinOp)
+        a, b = span(e.left), span(e.right)
+        if a is None or b is None:
+            return None
+        (alo, ahi), (blo, bhi) = a, b
+        if e.op == "-":
+            blo, bhi = None if bhi is None else -bhi, None if blo is None else -blo
+        if e.op != "*":
+            return tuple(None if None in ends else sum(ends) for ends in ((alo, blo), (ahi, bhi)))
+        # endpoint products: 0 times an infinite end is 0, an infinite one has the signs' product
+        finite, infinite = [], set()
+        for x, x_inf in ((alo, -1), (ahi, 1)):
+            for y, y_inf in ((blo, -1), (bhi, 1)):
+                sign = (x_inf if x is None else (x > 0) - (x < 0)) * (
+                    y_inf if y is None else (y > 0) - (y < 0))
+                if sign and None in (x, y):
+                    infinite.add(sign)
+                else:
+                    finite.append(x * y if sign else 0)
+        return None if -1 in infinite else min(finite), None if 1 in infinite else max(finite)
+
+    return span(e)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +231,10 @@ def abstract_assign(
     n = len(variables)
 
     def interval_image(p: Polyhedron) -> Polyhedron:
-        iv = abstract_eval_aexp(e, p, variables)
-        if iv.is_bottom():
+        bounds = abstract_eval_aexp(e, p, variables)
+        if bounds is None:
             return Polyhedron.empty(n, Topology.CLOSED)
-        lo, hi = [None if b is None else [b] + [0] * n for b in (iv.lo, iv.hi)]
+        lo, hi = [None if b is None else [b] + [0] * n for b in bounds]
         return p.bounded_affine_image(k, lo, hi)
 
     return value.lift_image(interval_image)

@@ -176,11 +176,6 @@ class Generator:
     def is_ray(self) -> bool:
         return self.kind is GenKind.RAY
 
-    def coordinates(self) -> tuple[Fraction, ...]:
-        if self.is_ray():
-            raise ValueError("rays have directions, not coordinates")
-        return tuple(Fraction(c, self.divisor) for c in self.coeffs)
-
     def sort_key(self):
         return (_KIND_ORDER[self.kind], self.coeffs, self.divisor)
 

@@ -107,11 +107,6 @@ class PolySet:
             added.append(p)
         return PolySet(self.dim, self.topology, mine + added)
 
-    def meet(self, other: PolySet) -> PolySet:
-        self._check(other)
-        pieces = [a.intersection(b) for a in self.elements for b in other.elements]
-        return PolySet.reduce(self.dim, self.topology, pieces)
-
     def entails(self, other: PolySet) -> bool:
         """Hoare order: every element is included in some element of other."""
         self._check(other)

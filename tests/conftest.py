@@ -9,30 +9,46 @@ from polyinv import polyhedron
 
 class Conversions(list):
     """The dimension of each DD conversion (``_dd_cone`` call) the test runs;
-    ``given`` holds each call's rows and whether it was seeded."""
+    ``given`` holds each call's rows and its kind, as
+    ``tools/check_digests.Conversions`` counts them: ``"forward"`` from
+    scratch, ``"seeded"`` from an operand's generators, or ``"dual"`` (the
+    call inside ``_dual_rows``)."""
 
     def __init__(self):
         super().__init__()
-        self.given: list[tuple[list, bool]] = []
+        self.given: list[tuple[list, str]] = []
 
     def clear(self):
         super().clear()
         self.given.clear()
+
+    def of_kind(self, kind: str) -> list[int]:
+        return [dim for dim, (_, k) in zip(self, self.given) if k == kind]
 
 
 @pytest.fixture
 def conversions(monkeypatch):
     """The ``Conversions`` of the test."""
     calls = Conversions()
-    original = polyhedron._dd_cone
+    dd_cone, dual_rows = polyhedron._dd_cone, polyhedron._dual_rows
+    in_dual = False
 
     def counted(dim, rows, seed=None):
         rows = list(rows)
         calls.append(dim)
-        calls.given.append((rows, seed is not None))
-        return original(dim, rows, seed)
+        calls.given.append((rows, "dual" if in_dual else "forward" if seed is None else "seeded"))
+        return dd_cone(dim, rows, seed)
+
+    def counted_dual(hom_dim, lines, rays):
+        nonlocal in_dual
+        in_dual = True
+        try:
+            return dual_rows(hom_dim, lines, rays)
+        finally:
+            in_dual = False
 
     monkeypatch.setattr(polyhedron, "_dd_cone", counted)
+    monkeypatch.setattr(polyhedron, "_dual_rows", counted_dual)
     return calls
 
 

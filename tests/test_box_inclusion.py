@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyinv.analyzer import _interval_of_dim
+from polyinv.analyzer import abstract_eval_aexp
+from polyinv.imp import Var
 from polyinv.linalg import Generator
 from polyinv.parse import parse_constraints
 from polyinv.polyhedron import Polyhedron, Topology
@@ -130,11 +131,11 @@ def test_the_box_is_the_emitted_bounds(p):
         assert tuple(None if b is None else Fraction(*b) for b in (lo, hi)) == bounds
         assert p.dim_bounds(k) == bounds
         lo, hi = [None if b is None else f(b) for b, f in zip(bounds, (ceil, floor))]
-        interval = _interval_of_dim(p, k)
+        span = abstract_eval_aexp(Var(0, 0, 0, f"x{k}"), p, [f"x{i}" for i in range(p.dim)])
         if None not in (lo, hi) and lo > hi:  # no integer in the closure's range
-            assert interval.is_bottom()
+            assert span is None
         else:
-            assert (interval.lo, interval.hi) == (lo, hi)
+            assert span == (lo, hi)
 
 
 @pytest.mark.parametrize("topology", [NNC, CLOSED], ids=lambda t: t.value)

@@ -106,9 +106,9 @@ def test_assignment_is_exact_when_affine_and_an_interval_image_otherwise(program
     if row is not None:
         assert out.value.equals(store.value.affine_image(0, row))
     else:
-        iv = abstract_eval_aexp(s.expr, store.value, names)
         n = len(names)
-        bounds = [None if b is None else [b] + [0] * n for b in (iv.lo, iv.hi)]
+        bounds = [None if b is None else [b] + [0] * n
+                  for b in abstract_eval_aexp(s.expr, store.value, names)]
         assert out.value.equals(store.value.bounded_affine_image(0, *bounds))
 
 

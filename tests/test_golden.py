@@ -38,6 +38,10 @@ PROGRAMS = sorted(path.stem for path in GOLDEN.glob("*.imp"))
 
 IMP_OPTIONS = {
     # an equality test split by the powerset filter, and a memoized inner loop
+    # products over bounded, half-unbounded and integer-empty factor ranges
+    "analyze-products": (
+        "--assume", "a>=-2, a<=3, b>=1, b<=4, c>=0, c<=2, p>=1, q<=-1",
+    ),
     "analyze-split": ("--domain", "powerset", "--delay", "1", "--assume", "x=0, y=0"),
 }
 

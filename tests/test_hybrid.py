@@ -408,8 +408,8 @@ def _sample_point(poly: Polyhedron, rng: random.Random):
     total = sum(weights)
     coords = [Fraction(0)] * poly.dim
     for w, g in zip(weights, points):
-        for i, c in enumerate(g.coordinates()):
-            coords[i] += w * c / total
+        for i, c in enumerate(g.coeffs):
+            coords[i] += w * Fraction(c, g.divisor) / total
     for r in rays:
         if rng.random() < 0.4:
             t = Fraction(rng.randint(0, 3), rng.randint(1, 3))

@@ -68,7 +68,6 @@ def test_generator_normalization():
 def test_generator_point_fraction_coords():
     g = Generator.point([Fraction(1, 2), Fraction(3, 2)])
     assert g.coeffs == (1, 3) and g.divisor == 2
-    assert g.coordinates() == (Fraction(1, 2), Fraction(3, 2))
 
 
 def test_format_constraint():

@@ -87,8 +87,10 @@ def test_universe_and_empty_nnc_forms():
 def test_generators_of_half_open_segment():
     p = nnc("x>=0, x<1", ["x"])
     gens = p.minimized_generators()
-    pts = sorted(g.coordinates()[0] for g in gens if g.kind is GenKind.POINT)
-    cps = sorted(g.coordinates()[0] for g in gens if g.kind is GenKind.CLOSURE_POINT)
+    pts = sorted(Fraction(g.coeffs[0], g.divisor) for g in gens if g.kind is GenKind.POINT)
+    cps = sorted(
+        Fraction(g.coeffs[0], g.divisor) for g in gens if g.kind is GenKind.CLOSURE_POINT
+    )
     assert pts and min(pts) == 0
     assert cps == [1]
 

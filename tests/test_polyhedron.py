@@ -70,7 +70,8 @@ class TestConversion:
         vertices = enumerate_vertices_1d(cs)
         assert vertices == [0, 1]
         got = sorted(
-            g.coordinates()[0] for g in p.minimized_generators() if g.kind is GenKind.POINT
+            Fraction(g.coeffs[0], g.divisor)
+            for g in p.minimized_generators() if g.kind is GenKind.POINT
         )
         assert got == vertices
 
@@ -101,27 +102,10 @@ class TestConversion:
 class TestLazyConversion:
     """Each description is converted only when asked for, at most once."""
 
-    @pytest.fixture()
-    def conversions(self, monkeypatch):
-        calls = []  # ("dd" | "dual", homogeneous dimension) per conversion
-        dd_cone, dual_rows = polyhedron._dd_cone, polyhedron._dual_rows
-
-        def counting_dd_cone(dim, rows, seed=None):
-            calls.append(("dd", dim))
-            return dd_cone(dim, rows, seed)
-
-        def counting_dual_rows(hom_dim, lines, rays):
-            calls.append(("dual", hom_dim))
-            return dual_rows(hom_dim, lines, rays)
-
-        monkeypatch.setattr(polyhedron, "_dd_cone", counting_dd_cone)
-        monkeypatch.setattr(polyhedron, "_dual_rows", counting_dual_rows)
-        return calls
-
     @staticmethod
-    def taken(calls, kind="dd"):
-        n = sum(1 for k, _ in calls if k == kind)
-        calls.clear()
+    def taken(conversions, kind=None):
+        n = len(conversions if kind is None else conversions.of_kind(kind))
+        conversions.clear()
         return n
 
     def test_rows_built_value(self, conversions):
@@ -153,8 +137,8 @@ class TestLazyConversion:
         )
         image = p.relation_image(rel)
         assert not image.is_empty()
-        assert ("dd", 5) in conversions  # the 2n-dimensional meet is converted ...
-        assert ("dual", 5) not in conversions  # ... and never dual-converted
+        assert 5 in conversions  # the 2n-dimensional meet is converted ...
+        assert 5 not in conversions.of_kind("dual")  # ... and never dual-converted
         assert image.equals(poly("w>=2, w<=11, x=0", index=WX))
 
     def test_minimizing_replaces_the_built_rows(self, conversions):
@@ -179,7 +163,9 @@ class TestLazyConversion:
             out = []
             for p, q in fresh_pairs():
                 conversions.clear()
-                out.append((contains(p, q), list(conversions)))
+                answer = contains(p, q)
+                kinds = [kind for _, kind in conversions.given]
+                out.append((answer, list(zip(kinds, conversions))))
             return out
 
         reference = run(semantic_contains)
@@ -409,7 +395,9 @@ class TestNNCConsistency:
         p = poly("x>0, x<1", n=1, index={"x": 0}, topology=Topology.NNC)
         gens = p.minimized_generators()
         assert any(g.kind is GenKind.POINT for g in gens)
-        cps = sorted(g.coordinates()[0] for g in gens if g.kind is GenKind.CLOSURE_POINT)
+        cps = sorted(
+            Fraction(g.coeffs[0], g.divisor) for g in gens if g.kind is GenKind.CLOSURE_POINT
+        )
         assert cps == [0, 1]
 
     def test_nnc_roundtrip_through_generators(self):

@@ -47,12 +47,6 @@ def test_join_not_convex():
     assert s.contains_point([0]) and s.contains_point([3]) and not s.contains_point([1.5])
 
 
-def test_meet():
-    s = pset(interval("x>=0, x<=2")).meet(pset(interval("x>=1, x<=3")))
-    assert len(s.elements) == 1
-    assert s.elements[0].equals(interval("x>=1, x<=2"))
-
-
 def test_entails():
     assert pset(interval("x>=0, x<=1")).entails(pset(interval("x>=0, x<=3")))
     assert not pset(interval("x>=0, x<=3")).entails(pset(interval("x>=0, x<=1")))
@@ -134,28 +128,20 @@ def test_widening_chain_terminates():
         assert steps < 50
 
 
-def test_soundness_of_join_and_meet_on_points():
+def test_soundness_of_join_on_points():
     a = pset(interval("x>=0, x<=2"))
     b = pset(interval("x>=1, x<=3"))
     j = a.join(b)
-    m = a.meet(b)
     for point in ([0], [1], [2], [3]):
-        in_a = a.contains_point(point)
-        in_b = b.contains_point(point)
-        if in_a or in_b:
+        if a.contains_point(point) or b.contains_point(point):
             assert j.contains_point(point)
-        if in_a and in_b:
-            assert m.contains_point(point)
 
 
 def test_reduce_idempotent_and_lattice_laws():
     a = pset(interval("x>=0, x<=1"))
     b = pset(interval("x>=2, x<=3"))
-    c = pset(interval("x>=1, x<=2"))
     again = PolySet.reduce(1, Topology.CLOSED, a.join(b).elements)
     assert again.equals(a.join(b))
-    assert a.meet(b).equals(b.meet(a))
-    assert a.meet(b).meet(c).equals(a.meet(b.meet(c)))
     # the verbs Polyhedron and PolySet share obey the same laws
     for domain in DOMAINS:
         a = region(domain, "x>=0, x<=1")

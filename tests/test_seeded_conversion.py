@@ -110,7 +110,7 @@ def test_a_meet_adding_one_row_runs_one_seeded_conversion_of_that_row(
     meet = a.intersection(b)
     meet.minimized_generators()
     (row,) = b._rows[:1]
-    assert conversions.given == [([row], True)]
+    assert conversions.given == [([row], "seeded")]
     scratch = Polyhedron._from_rep_rows(2, topology, meet._rows)
     assert emitted(meet) == emitted(scratch)
 
@@ -133,7 +133,7 @@ def test_an_operand_held_by_raw_generators_seeds_nothing(conversions):
     assert meet._seed is None
     conversions.clear()
     meet.minimized_generators()
-    assert [seeded for _, seeded in conversions.given] == [False]
+    assert [kind for _, kind in conversions.given] == ["forward"]
 
 
 class Tracked(Polyhedron):
