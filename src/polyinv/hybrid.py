@@ -1,10 +1,10 @@
 """Linear hybrid automata: model, text format, composition, reachability.
 
 An automaton of dimension n has named locations, each carrying an
-initial region, an invariant and a rate region (all NNC polyhedra over
-the n variables; rate constraints speak about the derivatives), and
-transitions whose relations are NNC polyhedra in dimension 2n laid out
-as (current values, primed next values).
+initial region, an invariant and a rate region (polyhedra over the n
+variables; rate constraints speak about the derivatives), and
+transitions whose relations are polyhedra in dimension 2n laid out as
+(current values, primed next values): NNC, but run closed when none is strict.
 
 Reachable regions per location solve the fixpoint equations
 
@@ -30,7 +30,7 @@ result is re-checked to be a post-fixpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -47,16 +47,16 @@ Region = Polyhedron | PolySet
 @dataclass(frozen=True)
 class Location:
     name: str
-    invariant: Polyhedron  # NNC, dimension n
-    rate: Polyhedron  # NNC, dimension n (derivative space)
-    init: Polyhedron  # NNC, dimension n
+    invariant: Polyhedron  # dimension n; NNC as parsed, closed in ``closed``
+    rate: Polyhedron  # the same, in the derivative space
+    init: Polyhedron  # the same
 
 
 @dataclass(frozen=True)
 class Transition:
     source: str
     label: str | None
-    relation: Polyhedron  # NNC, dimension 2n: (x, x')
+    relation: Polyhedron  # dimension 2n, (x, x'); NNC as parsed, closed in ``closed``
     target: str
 
     @cached_property
@@ -99,6 +99,16 @@ class HybridAutomaton:
     def incoming(self, name: str) -> tuple[int, ...]:
         """Indices in ``transitions`` of the transitions into location ``name``."""
         return self._incoming.get(name, ())
+
+    @cached_property
+    def closed(self) -> HybridAutomaton | None:
+        """This automaton in the closed topology, each polyhedron read off its
+        held rows without a conversion; None when one of them has a strict row."""
+        locs = [Location(l.name, *map(Polyhedron._closed_twin, (l.invariant, l.rate, l.init)))
+                for l in self.locations]
+        ts = [replace(t, relation=t.relation._closed_twin()) for t in self.transitions]
+        strict = any(None in vars(l).values() for l in locs) or any(t.relation is None for t in ts)
+        return None if strict else replace(self, locations=tuple(locs), transitions=tuple(ts))
 
     def validate(self) -> list[str]:
         """Consistency warnings (never fatal): Init outside Inv, W not a cutset."""
@@ -442,6 +452,13 @@ def location_update(
     return inc.lift_image(lambda p: p.time_elapse(loc.rate).intersection(loc.invariant))
 
 
+def _nnc(r: Region) -> Region:
+    """A closed region as an NNC value: it, or each of its elements, lifted once."""
+    if isinstance(r, PolySet):
+        return PolySet(r.dim, Topology.NNC, [_nnc(p) for p in r.elements])
+    return r if r.topology is Topology.NNC else r._lifted()
+
+
 def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResult:
     """Iterate the reachability equations to a verified post-fixpoint.
 
@@ -453,9 +470,10 @@ def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResul
     location its widening, are upper bounds of F(l), so they cannot lie
     below the region then.  Each location is tested once per sweep.
     """
+    h, topology = (h.closed, Topology.CLOSED) if h.closed else (h, Topology.NNC)
     warnings = h.validate()
     widen_at = h.widen_at if h.widen_at else h.default_widen_set()
-    bottom = lift(Polyhedron.empty(h.dim, Topology.NNC), opts.domain)
+    bottom = lift(Polyhedron.empty(h.dim, topology), opts.domain)
     regions: dict[str, Region] = {l.name: bottom for l in h.locations}
     entries: dict[int, tuple[Region, Region]] = {}  # shared by all sweeps
     for sweep in range(1, opts.max_iter + 1):
@@ -475,11 +493,11 @@ def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResul
     else:
         raise NonConvergenceError(
             f"no fixpoint after {opts.max_iter} sweeps",
-            ReachResult(regions, opts.max_iter, False, warnings),
+            ReachResult({k: _nnc(r) for k, r in regions.items()}, opts.max_iter, False, warnings),
         )
     # post-fixpoint certificate: one more independent evaluation per location
     for loc in h.locations:
         check = location_update(h, loc.name, regions, opts.domain)
         if not check.entails(regions[loc.name]):
             raise AssertionError(f"converged result is not a post-fixpoint at {loc.name}")
-    return ReachResult(regions, sweep, True, warnings)
+    return ReachResult({k: _nnc(r) for k, r in regions.items()}, sweep, True, warnings)

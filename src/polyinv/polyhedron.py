@@ -42,7 +42,7 @@ the other operand's held rows all hold on them: that is inclusion of the
 embeddings, read without a conversion, so the meet is that operand's
 cone.  The closure of an NNC value whose held rows have no slack
 coefficient but the two side rows is the value itself: those rows
-already encode the closure, its set times ``0 <= eps <= 1``.
+encode the set times ``0 <= eps <= 1``; less the slack, its closed twin.
 
 Not-necessarily-closed (NNC) polyhedra are embedded as closed polyhedra
 with one extra slack dimension ``eps``: a strict ``<a, x> > b`` becomes
@@ -947,14 +947,16 @@ class Polyhedron:
     def topological_closure(self) -> Polyhedron:
         if self._topology is Topology.CLOSED or self._is_closed_rows():
             return self
+        return self._lifted()
+
+    def _lifted(self) -> Polyhedron:
+        """The closure as an NNC value: the generators (an NNC value's minimal ones, a
+        closed value's held ones) at slack xi0 and at 0, kept once, generate proj_x(E) x [0, 1]."""
         if self.is_empty():
             return Polyhedron.empty(self._dim, Topology.NNC)
-        # the embedding's generators with the slack set to xi0 and to 0: they
-        # generate the closure's encoded set proj_x(E) x [0, 1]; the two lifts
-        # of a line or ray coincide, kept once
-        lines, rays = self._minimal_gens()
+        gens = self._minimal_gens() if self._topology is Topology.NNC else self._gens_any()
         cut = 1 + self._dim
-        lifted = [[r[:cut] + (s,) for r in vecs for s in (r[0], 0)] for vecs in (lines, rays)]
+        lifted = [[r[:cut] + (s,) for r in vecs for s in (r[0], 0)] for vecs in gens]
         new_lines, new_rays = [list(dict.fromkeys(map(_norm, vecs))) for vecs in lifted]
         return Polyhedron._from_rep_gens(self._dim, Topology.NNC, new_lines, new_rays)
 
@@ -965,6 +967,16 @@ class Polyhedron:
             return False
         e, side = self._eps_col(), _side_rows(self._hom_dim)
         return all(vec[e] == 0 for vec, is_eq in self._rows if (vec, is_eq) not in side)
+
+    def _closed_twin(self) -> Polyhedron | None:
+        """Self as a closed value with no conversion: a closed or empty value, or
+        held rows passing ``_is_closed_rows``, side rows and slack dropped; else None."""
+        if self._empty or self._topology is Topology.CLOSED:
+            return Polyhedron.empty(self._dim, Topology.CLOSED) if self._empty else self
+        if not self._is_closed_rows():
+            return None
+        rows = [(v[:-1], q) for v, q in self._rows if (v, q) not in _side_rows(self._hom_dim)]
+        return Polyhedron._from_rep_rows(self._dim, Topology.CLOSED, rows)
 
     # -- dimension surgery --------------------------------------------------------
 

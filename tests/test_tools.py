@@ -129,7 +129,8 @@ def test_check_digests_splits_the_conversions_into_forward_seeded_and_dual():
                                      check_digests.Inclusions(), check_digests.Minimizations())
     result, _ = counted.run({}, None)
     assert counted.check({}, None, result) == []
-    assert conversions.by_kind == {"forward": [1, 3], "seeded": [1, 1], "dual": [1, 3]}
+    # [calls, rows, rays]: p's vertex and two rays, q's three vertices, q's three facets
+    assert conversions.by_kind == {"forward": [1, 3, 3], "seeded": [1, 1, 3], "dual": [1, 3, 3]}
     assert (conversions.calls, conversions.rows) == (3, 7)
     assert polyhedron._dd_cone is conversions.real
     assert polyhedron._dual_rows is conversions.real_dual_rows

@@ -9,13 +9,14 @@ exits 1 if any item failed; it measures no benchmark metric.  It also
 prints how many conversions (``_dd_cone`` calls) the items ran and how
 many rows they were given, in total and split into forward conversions
 from scratch, forward conversions seeded from an operand's generators,
-and dual conversions, how many pairs they asked an inclusion test
-about (the candidate pairs), how many of those the closure boxes turned
-down (``Polyhedron.box_excludes`` answering yes) and how many went to the
-full test (``Polyhedron.contains`` calls) and answered yes there, how
-many ``PolySet.reduce`` calls they made, how many
-``Polyhedron.minimized_constraints`` calls they made, split into fresh
-ones (the value had not emitted its constraints before) and cached
+and dual conversions, each kind also with the rays it returned (lines
+not counted; a dual conversion returns the inequality rows as rays), how
+many pairs they asked an inclusion test about (the candidate pairs), how
+many of those the closure boxes turned down (``Polyhedron.box_excludes``
+answering yes) and how many went to the full test (``Polyhedron.contains``
+calls) and answered yes there, how many ``PolySet.reduce`` calls they
+made, how many ``Polyhedron.minimized_constraints`` calls they made,
+split into fresh ones (the value had not emitted its constraints before) and cached
 ones, and how many ``Fraction`` objects their set-up (``prepare``) and their runs
 constructed, the oracle checks not counted.  From Python 3.12 on
 ``Fraction`` arithmetic makes its results without ``Fraction.__new__``,
@@ -43,27 +44,30 @@ class Conversions:
     """A stand-in for ``polyhedron._dd_cone`` that counts its calls and rows,
     in total and by kind: forward from scratch, seeded forward, and dual
     (the calls made inside ``polyhedron._dual_rows``, which ``dual_rows``
-    stands in for)."""
+    stands in for); by kind also the rays the calls returned."""
 
     def __init__(self):
-        self.by_kind = {"forward": [0, 0], "seeded": [0, 0], "dual": [0, 0]}  # [calls, rows]
+        # [calls, rows, rays returned]
+        self.by_kind = {"forward": [0, 0, 0], "seeded": [0, 0, 0], "dual": [0, 0, 0]}
         self.real, self.real_dual_rows = polyhedron._dd_cone, polyhedron._dual_rows
         self.in_dual = False
 
     @property
     def calls(self) -> int:
-        return sum(calls for calls, _ in self.by_kind.values())
+        return sum(calls for calls, _, _ in self.by_kind.values())
 
     @property
     def rows(self) -> int:
-        return sum(rows for _, rows in self.by_kind.values())
+        return sum(rows for _, rows, _ in self.by_kind.values())
 
     def __call__(self, dim, rows, seed=None):
         rows = list(rows)
         counts = self.by_kind["dual" if self.in_dual else "forward" if seed is None else "seeded"]
+        cone = self.real(dim, rows, seed)
         counts[0] += 1
         counts[1] += len(rows)
-        return self.real(dim, rows, seed)
+        counts[2] += len(cone[1])
+        return cone
 
     def dual_rows(self, hom_dim, lines, rays):
         self.in_dual = True
@@ -196,9 +200,10 @@ def check(workload: str) -> int:
     print(f"{workload}: {len(specs)} items, {len(p.failures)} failed "
           f"({time.perf_counter() - t0:.1f} s)")
     print(f"{workload}: {conversions.calls} _dd_cone calls on {conversions.rows} rows")
-    (fc, fr), (sc, sr), (dc, dr) = conversions.by_kind.values()
-    print(f"{workload}: {fc} forward conversions from scratch on {fr} rows, "
-          f"{sc} seeded on {sr} rows, {dc} dual conversions on {dr} rows")
+    (fc, fr, fy), (sc, sr, sy), (dc, dr, dy) = conversions.by_kind.values()
+    print(f"{workload}: {fc} forward conversions from scratch on {fr} rows returning {fy} rays, "
+          f"{sc} seeded on {sr} rows returning {sy} rays, "
+          f"{dc} dual conversions on {dr} rows returning {dy} rays")
     print(f"{workload}: {inclusions.pairs} candidate pairs for inclusion tests, "
           f"{inclusions.rejected} rejected by the closure boxes, {inclusions.tests} full tests "
           f"({inclusions.yes} answered yes), {inclusions.reduces} PolySet.reduce calls")
