@@ -25,14 +25,17 @@ sweep propagates along a whole path).  A location changes exactly when
 its right-hand side is not included in its current region; only then is
 the join computed, and widened at the configured cut locations.  A
 sweep that changes no location is the fixpoint, and every converged
-result is re-checked to be a post-fixpoint.
+result is re-checked to be a post-fixpoint.  Across sweeps a transition
+images each source element once, and a location time-elapses each
+incoming element once: a join keeps the elements it does not drop as
+the same objects.  The re-check uses no memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .linalg import Constraint, canonicalize_constraint
 from .parse import ParseError, Tokens, constraint_list, relation_index
@@ -42,6 +45,8 @@ from .polyhedron import standard_widening  # noqa: F401
 from .powerset import DomainOptions, PolySet, lift
 
 Region = Polyhedron | PolySet
+# location_update's memo: key -> (region, result, id -> (element, element's result))
+Memo = dict[int | str, tuple[Region, Region, dict[int, tuple[Polyhedron, Polyhedron]]]]
 
 
 @dataclass(frozen=True)
@@ -420,36 +425,54 @@ def _source_flow(p: Polyhedron, act: Polyhedron) -> Polyhedron:
     return closure.intersection(p.time_elapse(act))
 
 
+def _images(entries: Memo, key: int | str, region: Region,
+            op: Callable[[Polyhedron], Polyhedron]) -> Region:
+    """``region.lift_image(op)`` through ``entries[key]``: the region last
+    seen there, its image, and op's result on each of its elements, keyed
+    by identity and held next to the element so that a reused id cannot
+    match another object."""
+    memo = entries.get(key)
+    if memo is None or memo[0] is not region:
+        held, results = memo[2] if memo else {}, {}  # results: region's elements only
+
+        def each(p: Polyhedron) -> Polyhedron:
+            kept = results[id(p)] = held.get(id(p)) or (p, op(p))
+            return kept[1]
+
+        memo = entries[key] = (region, region.lift_image(each), results)
+    return memo[1]
+
+
 def location_update(
     h: HybridAutomaton,
     name: str,
     current: Mapping[str, Region],
     domain: str = "poly",
     *,
-    entries: dict[int, tuple[Region, Region]] | None = None,
+    entries: Memo | None = None,
 ) -> Region:
     """One evaluation of the fixpoint right-hand side F_l.
 
-    ``entries`` is a memo the caller keeps across calls: it maps a
-    transition's index in ``h.transitions`` to (source region, entry
-    region), and an entry is reused while ``current[t.source]`` is that
-    same source object.  Without it every entry is computed afresh.
+    ``entries`` is a memo the caller keeps across calls, keyed by each
+    transition's index in ``h.transitions`` (its entry from the source
+    region) and by ``name`` (the time elapse of the incoming region
+    within the invariant).  Each key holds the region last seen, its
+    result, and the result on each of that region's elements: the same
+    region object reuses its result, and another one computes only the
+    elements not held (a join keeps the elements it does not drop as the
+    same objects), so the memo holds only the live regions' elements.
+    Without it every result is computed afresh.
     """
     loc = h.location(name)
     inc = lift(loc.init, domain)
     entries = {} if entries is None else entries
     for i in h.incoming(name):
         t = h.transitions[i]
-        source = current[t.source]
-        memo = entries.get(i)
-        if memo is None or memo[0] is not source:
-            act = h.location(t.source).rate
-            entry = source.lift_image(
-                lambda p: t.image(_source_flow(p, act)).intersection(loc.invariant)
-            )
-            memo = entries[i] = (source, entry)
-        inc = inc.join(memo[1])
-    return inc.lift_image(lambda p: p.time_elapse(loc.rate).intersection(loc.invariant))
+        act = h.location(t.source).rate
+        inc = inc.join(_images(entries, i, current[t.source],
+                               lambda p: t.image(_source_flow(p, act)).intersection(loc.invariant)))
+    return _images(entries, name, inc,
+                   lambda p: p.time_elapse(loc.rate).intersection(loc.invariant))
 
 
 def _nnc(r: Region) -> Region:
@@ -469,13 +492,15 @@ def reach(h: HybridAutomaton, opts: ReachOptions = ReachOptions()) -> ReachResul
     F(l) is not below its region: the join, and past the delay at a cut
     location its widening, are upper bounds of F(l), so they cannot lie
     below the region then.  Each location is tested once per sweep.
+    The sweeps share one ``location_update`` memo, which holds the images
+    of the live regions' elements only; the certificate uses none.
     """
     h, topology = (h.closed, Topology.CLOSED) if h.closed else (h, Topology.NNC)
     warnings = h.validate()
     widen_at = h.widen_at if h.widen_at else h.default_widen_set()
     bottom = lift(Polyhedron.empty(h.dim, topology), opts.domain)
     regions: dict[str, Region] = {l.name: bottom for l in h.locations}
-    entries: dict[int, tuple[Region, Region]] = {}  # shared by all sweeps
+    entries: Memo = {}  # shared by all sweeps
     for sweep in range(1, opts.max_iter + 1):
         changed = False
         for loc in h.locations:

@@ -19,7 +19,7 @@ from polyinv.hybrid import (
 from polyinv.polyhedron import Polyhedron, Topology
 from polyinv.powerset import PolySet
 
-from .paths import example_text
+from .paths import example_text, scheduler
 
 NNC, CLOSED = Topology.NNC, Topology.CLOSED
 
@@ -110,21 +110,6 @@ def test_the_twin_of_a_closed_automaton_keeps_its_values():
     assert h.closed is not None
     for p, q in zip(polyhedra(h), polyhedra(h.closed)):
         assert q.topology is CLOSED and (p is q or p.is_empty() and q.is_empty())
-
-
-def interrupt_text(p1, p2):
-    text = example_text("interrupt.lha")
-    assert text.count("c1 >= 10;") == 1 and text.count("c2 >= 20;") == 1
-    return text.replace("c1 >= 10;", f"c1 >= {p1};").replace("c2 >= 20;", f"c2 >= {p2};")
-
-
-def scheduler(name):
-    if name == "scheduler.lha":
-        return parse_automaton(example_text(name))
-    p1, p2 = name
-    return parallel_compose(
-        parse_automaton(example_text("task.lha")), parse_automaton(interrupt_text(p1, p2))
-    )
 
 
 def rendered(h, region):

@@ -241,13 +241,18 @@ class TestLocationUpdate:
 
         entries = {}
         location_update(h, "Task1", before, domain, entries=entries)
-        kept = {i: e for i, e in entries.items() if h.transitions[i].source != "Idle"}
+        incoming = h.incoming("Task1")
+        assert any(h.transitions[i].source == "Idle" for i in incoming)
+        earlier = {i: entries[i] for i in incoming}
         out = location_update(h, "Task1", after, domain, entries=entries)
         assert rendered(out) == rendered(fresh)
-        for i, (source, _) in entries.items():
+        for i in incoming:
+            source, _, _ = entries[i]
             assert source is after[h.transitions[i].source]
-            if i in kept:
-                assert entries[i] is kept[i]  # unchanged source: entry reused
+            if h.transitions[i].source == "Idle":
+                assert entries[i] is not earlier[i]  # changed source: entry stale
+            else:
+                assert entries[i] is earlier[i]  # unchanged source: entry reused
 
 
 class TestReach:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from polyinv import polyhedron
+from polyinv.hybrid import Transition, location_update, parse_automaton
 from polyinv.linalg import Constraint, Generator, Rel
 from polyinv.polyhedron import Polyhedron, Topology
 from polyinv.powerset import PolySet
@@ -224,3 +225,42 @@ def test_check_digests_counts_the_fresh_and_cached_minimizations_of_runs_not_of_
     assert counted.check({}, None, result) == [] and text == "{x>=0}"
     assert (minimizations.fresh, minimizations.cached) == (1, 1)
     assert vars(Polyhedron)["minimized_constraints"] is real
+
+
+def test_check_digests_counts_the_engine_steps_of_runs_not_of_checks():
+    check_digests = tool("check_digests")
+    real = [vars(Transition)["image"], vars(Polyhedron)["time_elapse"]]
+    h = parse_automaton("vars x;\nlocation a { rate: dx = 1; init: x = 0; }\n"
+                        "transition a -> a { guard: x >= 1; update: x' = 0; }")
+    t, rate = h.transitions[0], h.location("a").rate
+
+    class Kind:
+        @staticmethod
+        def run(spec, prepared):
+            p = h.location("a").init
+            return t.image(p.time_elapse(rate)).time_elapse(rate), ""  # one image, two elapses
+
+        @staticmethod
+        def check(spec, prepared, result):
+            location_update(h, "a", {"a": result})  # an image and elapses, not counted
+            return []
+
+    steps = check_digests.EngineSteps()
+    counted = check_digests.counting(Kind, check_digests.Conversions(),
+                                     check_digests.Fractions(), steps)
+    result, _ = counted.run({}, None)
+    assert counted.check({}, None, result) == []
+    assert (steps.images, steps.elapses) == (1, 2)
+    assert [vars(Transition)["image"], vars(Polyhedron)["time_elapse"]] == real
+
+
+def test_check_digests_prints_the_engine_steps_of_a_pool(monkeypatch, capsys):
+    check_digests = tool("check_digests")
+    pool = check_digests.inputs.pool
+    monkeypatch.setattr(check_digests.inputs, "pool", lambda workload: [
+        spec for spec in pool(workload) if spec["key"] == "reach/scheduler/powerset"])
+    assert check_digests.check("reach-lha") == 0
+    out = capsys.readouterr().out
+    assert "reach-lha: 1 items, 0 failed" in out
+    # five sweeps and the certificate; each element is imaged once per transition in the sweeps
+    assert "reach-lha: 100 Transition.image calls, 24 Polyhedron.time_elapse calls" in out

@@ -17,7 +17,9 @@ answering yes) and how many went to the full test (``Polyhedron.contains``
 calls) and answered yes there, how many ``PolySet.reduce`` calls they
 made, how many ``Polyhedron.minimized_constraints`` calls they made,
 split into fresh ones (the value had not emitted its constraints before) and cached
-ones, and how many ``Fraction`` objects their set-up (``prepare``) and their runs
+ones, how many reach engine steps they ran (``Transition.image`` calls, the relation
+images, and ``Polyhedron.time_elapse`` calls, made by the source flows and the
+location updates), and how many ``Fraction`` objects their set-up (``prepare``) and their runs
 constructed, the oracle checks not counted.  From Python 3.12 on
 ``Fraction`` arithmetic makes its results without ``Fraction.__new__``,
 so the count covers constructions only; before 3.12 it also counts each
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench import harness, inputs  # noqa: E402  (needs the path above)
 from polyinv import polyhedron  # noqa: E402  (harness puts src/ on the path)
+from polyinv.hybrid import Transition  # noqa: E402
 from polyinv.polyhedron import Polyhedron  # noqa: E402
 from polyinv.powerset import PolySet  # noqa: E402
 
@@ -166,17 +169,46 @@ class Minimizations:
             Polyhedron.minimized_constraints = real
 
 
-def counting(kind, conversions: Conversions, fractions: Fractions, inclusions: Inclusions,
-             minimizations: Minimizations):
+class EngineSteps:
+    """Counts ``Transition.image`` calls and ``Polyhedron.time_elapse`` calls
+    inside ``counting()``."""
+
+    def __init__(self):
+        self.images = self.elapses = 0
+
+    @contextmanager
+    def counting(self):
+        image, elapse = vars(Transition)["image"], vars(Polyhedron)["time_elapse"]
+
+        def counted_image(t, p):
+            self.images += 1
+            return image(t, p)
+
+        def counted_elapse(p, rate):
+            self.elapses += 1
+            return elapse(p, rate)
+
+        Transition.image, Polyhedron.time_elapse = counted_image, counted_elapse
+        try:
+            yield
+        finally:
+            Transition.image, Polyhedron.time_elapse = image, elapse
+
+
+def counting(kind, conversions: Conversions, fractions: Fractions, *counters):
     """``kind`` with its items' runs, and not its checks, counted by
-    ``conversions``, ``fractions``, ``inclusions`` and ``minimizations``."""
+    ``conversions``, ``fractions`` and each of ``counters`` (an ``Inclusions``,
+    ``Minimizations`` or ``EngineSteps``)."""
 
     class Counted(kind):
         @staticmethod
         def run(spec, prepared):
             polyhedron._dd_cone, polyhedron._dual_rows = conversions, conversions.dual_rows
             try:
-                with fractions.counting("run"), inclusions.counting(), minimizations.counting():
+                with ExitStack() as stack:
+                    stack.enter_context(fractions.counting("run"))
+                    for counter in counters:
+                        stack.enter_context(counter.counting())
                     return kind.run(spec, prepared)
             finally:
                 polyhedron._dd_cone = conversions.real
@@ -187,12 +219,12 @@ def counting(kind, conversions: Conversions, fractions: Fractions, inclusions: I
 
 def check(workload: str) -> int:
     kind, conversions, fractions = harness.KINDS[workload], Conversions(), Fractions()
-    inclusions, minimizations = Inclusions(), Minimizations()
+    inclusions, minimizations, steps = Inclusions(), Minimizations(), EngineSteps()
     specs = inputs.pool(workload)
     t0 = time.perf_counter()
     with fractions.counting("prepare"):
         prepared = [kind.prepare(s) for s in specs]
-    counted = counting(kind, conversions, fractions, inclusions, minimizations)
+    counted = counting(kind, conversions, fractions, inclusions, minimizations, steps)
     p = harness.run_pass(counted, specs, prepared, harness.TIMEOUTS[workload], check=True,
                          expected=harness.load_digests())
     for i, why in sorted(p.failures.items()):
@@ -210,6 +242,8 @@ def check(workload: str) -> int:
     print(f"{workload}: {minimizations.fresh + minimizations.cached} "
           f"Polyhedron.minimized_constraints calls, {minimizations.fresh} fresh and "
           f"{minimizations.cached} cached")
+    print(f"{workload}: {steps.images} Transition.image calls, "
+          f"{steps.elapses} Polyhedron.time_elapse calls")
     print(f"{workload}: {fractions.built['prepare']} Fraction constructions in set-up, "
           f"{fractions.built['run']} in runs")
     return len(p.failures)
