@@ -20,19 +20,20 @@ lineality space explicit is what makes that test sound: the ray cone is
 pointed modulo the lines, so rays are genuine extreme rays and the
 conversion output is minimal.  A forward conversion keeps the
 saturation matrix it ends with.  A meet built when one operand holds its
-minimal generators starts its conversion from them and that matrix
-instead of the universe, and adds only the rows that operand does not
-hold: the test needs extreme rays and rows that define their cone, raw
-or minimal.  The meet holds those tuples, not the operand, and drops
-them once converted.
+minimal generators, or raw ones whose dual conversion kept its matrix,
+starts its conversion from them and that matrix instead of the universe,
+and adds only the rows that operand does not hold: the test needs
+extreme rays and rows that define their cone, raw or minimal.  The meet
+holds those tuples, not the operand, and drops them once converted.
 
 A value holds one copy of each description.  The one it was built from
 stays as given, unminimized, until emission or widening asks for it
 minimal; the minimal copy then replaces it.  Conversion is lazy and runs
 at most once per description: a value built from rows converts them to
 its minimal generators and those back to its minimal rows; a value built
-from generators converts them to its minimal rows and those to its
-minimal generators.  Every other operation reads whichever copy is
+from generators converts them dually to its minimal rows, keeping the
+matrix of which rows saturate which generator, and reads its minimal
+generators off that matrix.  Every other operation reads whichever copy is
 there, so a description nobody reads is never computed, and operations
 that only rewrite rows never convert to test for emptiness.  A row
 system holds each row once, the first copy kept, and an intersection
@@ -101,9 +102,9 @@ from __future__ import annotations
 import os
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd, lcm
-from operator import mul, sub
+from operator import and_, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import (
@@ -298,21 +299,16 @@ def _dd_cone(dim: int, rows: Iterable[Row], seed: Cone | None = None) -> Cone:
     return lines, rays, sat, nbits
 
 
-def _dual_rows(hom_dim: int, lines: Sequence[Vec], rays: Sequence[Vec]) -> list[Row]:
-    """Minimal row system of the cone generated by (lines, rays).
+def _dual_rows(hom_dim: int, lines: Sequence[Vec], rays: Sequence[Vec]) -> Cone:
+    """The dual conversion of the cone generated by (lines, rays).
 
     Runs the same conversion in the polar space: lines become equality
     rows, rays inequality rows; the output lines/rays are the equality
-    and inequality rows of the minimal constraint description.
+    and inequality rows of the minimal constraint description, the
+    positivity row among the rays when it is a facet, and bit ``k`` of
+    ``sat[i]`` says that row ``i`` saturates ``rays[k]`` (rays nonzero).
     """
-    dual_in: list[Row] = [(l, True) for l in lines] + [(r, False) for r in rays]
-    dlines, drays, _, _ = _dd_cone(hom_dim, dual_in)
-    out: list[Row] = [(l, True) for l in dlines]
-    for r in drays:
-        if r[0] > 0 and not any(r[1:]):
-            continue  # positivity row: the tautology "1 >= 0"
-        out.append((r, False))
-    return out
+    return _dd_cone(hom_dim, [(l, True) for l in lines] + [(r, False) for r in rays])
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +378,7 @@ class Polyhedron:
         "_empty",
         "_box",
         "_cone",
+        "_dual",
         "_seed",
         "_out_cons",
         "_out_gens",
@@ -397,9 +394,11 @@ class Polyhedron:
         self._raw: str | None = None  # "rows" or "gens" while that one is unminimized
         self._empty: bool | None = None
         self._box: Box | None = None
-        # (lines, rays, sat, nbits) of the forward conversion: one store keeps
-        # the matrix with the rays it describes, even under concurrent conversions
+        # (lines, rays, sat, nbits) of the forward conversion or the dual's matrix:
+        # one store keeps the matrix with the rays it describes, even concurrently
         self._cone: tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[int, ...], int] | None = None
+        # (raw generators, sat) of their dual conversion, until read by _minimal_gens
+        self._dual: tuple | None = None
         # (rows, lines, rays, sat, nbits) of an operand, until the conversion
         self._seed: tuple | None = None
         self._out_cons: tuple[Constraint, ...] | None = None
@@ -560,9 +559,33 @@ class Polyhedron:
         e = self._eps_col()
         return not any(r[0] > 0 and r[e] > 0 for r in rays)
 
+    def _extreme(self, dual) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """The minimal generators read off ``dual``, raw generators and the
+        matrix of their dual conversion, kept in ``_cone`` with the matrix
+        transposed.  The rays saturating every row span the lineality space
+        with the lines; of the others, a ray is extreme when no other ray
+        saturates a strict superset of its rows, one kept per set."""
+        (lines, rays), dsat = dual
+        flat = reduce(and_, dsat, -1)  # the rays saturating every row
+        lineal = [r for k, r in enumerate(rays) if flat >> k & 1]
+        pivots, _ = _eliminate([*lines, *lineal], range(self._hom_dim))
+        by_sat: dict[int, Vec] = {}
+        for k, r in enumerate(rays):
+            if not flat >> k & 1:
+                by_sat.setdefault(sum([1 << i for i, m in enumerate(dsat) if m >> k & 1]), r)
+        sat = [m for m in by_sat if not any(o != m and o & m == m for o in by_sat)]
+        rays = tuple([by_sat[m] for m in sat])
+        self._cone = (tuple(pivots.values()), rays, tuple(sat), len(dsat))
+        return self._cone[:2]
+
     def _minimal_gens(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         if self._gens is None or self._raw == "gens":
-            gens = ((), ()) if self._empty else self._forward(self._rows_any())
+            if self._empty:
+                gens = ((), ())
+            else:
+                rows = self._rows_any()  # raw generators convert once, here, dually
+                dual, self._dual = self._dual, None
+                gens = self._extreme(dual) if dual and dual[0] is self._gens else self._forward(rows)
             self._empty = self._is_empty_gens(gens)
             self._gens = ((), ()) if self._empty else gens
             if self._raw == "gens":
@@ -574,7 +597,12 @@ class Polyhedron:
             if self.is_empty():
                 self._rows = ((tuple([-1] + [0] * self._rep_dim), False),)  # 0 >= 1
             else:
-                self._rows = tuple(_dual_rows(self._hom_dim, *self._gens_any()))
+                gens = self._gens_any()
+                lines, rays, sat, _ = _dual_rows(self._hom_dim, *gens)
+                if self._raw == "gens":  # the matrix, with the raw generators it indexes
+                    self._dual = (gens, sat)
+                pi = self._pi()  # the positivity row "1 >= 0" is no constraint
+                self._rows = tuple([(l, True) for l in lines] + [(r, False) for r in rays if r != pi])
             if self._raw == "rows":
                 self._raw = None
         return self._rows
@@ -754,7 +782,8 @@ class Polyhedron:
             return other
         meet = Polyhedron._from_rep_rows(self._dim, self._topology, mine + theirs)
         for p in (self, other):
-            if p._cone is not None:  # its minimal generators seed the conversion
+            if p._cone is not None or p._dual is not None:  # its minimal generators seed it
+                p._minimal_gens()  # read off the dual's matrix if held by raw generators
                 meet._seed = (p._rows, *p._cone)
                 break
         return meet

@@ -12,7 +12,7 @@ class Conversions(list):
     ``given`` holds each call's rows and its kind, as
     ``tools/check_digests.Conversions`` counts them: ``"forward"`` from
     scratch, ``"seeded"`` from an operand's generators, or ``"dual"`` (the
-    call inside ``_dual_rows``)."""
+    call inside ``_dual_rows``, whose cone and matrix pass through)."""
 
     def __init__(self):
         super().__init__()

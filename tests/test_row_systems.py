@@ -162,7 +162,8 @@ def test_the_returned_operand_keeps_its_generators(conversions):
     assert hull.intersection(Polyhedron.universe(2)) is hull
     assert conversions == []  # the universe's rows hold on hull's generators
     hull.minimized_generators()
-    assert len(conversions) == 2  # hull's rows and then its generators, none of any meet
+    # hull's rows, its generators read off that dual conversion, and none of any meet
+    assert conversions.of_kind("dual") == [3] and len(conversions) == 1
 
 
 def test_nnc_intersection_keeps_two_side_rows_and_shared_rows_once():

@@ -1,8 +1,9 @@
 """Meets whose forward conversion starts from an operand's generators.
 
 A meet of a value that holds its minimal generators (and rows, raw or
-minimal) converts only the rows that value does not hold, starting from
-its lines and rays.  Each seeded meet must emit what the same rows
+minimal), or raw generators whose dual conversion kept its matrix,
+converts only the rows that value does not hold, starting from its
+lines and rays.  Each seeded meet must emit what the same rows
 converted from the universe emit, and agree with the Fourier-Motzkin
 oracles.  The seed operands cover values with lines (equalities or free
 dimensions), raw rows next to minimal generators, both descriptions
@@ -126,14 +127,19 @@ def test_rows_after_a_cut_line_take_bits_past_the_seeds(topology):
     assert emitted(meet) == emitted(Polyhedron._from_rep_rows(2, topology, meet._rows))
 
 
-def test_an_operand_held_by_raw_generators_seeds_nothing(conversions):
+def test_an_operand_held_by_raw_generators_seeds_from_the_extreme_generators_its_dual_found(
+        conversions):
     hull = poly("x>=0, y>=0, x<=1, y<=1").poly_hull(poly("x=3, y=3"))
-    hull.minimized_constraints()  # rows from the raw generators
+    hull.minimized_constraints()  # rows from the raw generators, the matrix kept
+    assert hull._cone is None  # not read until asked for
     meet = hull.intersection(poly("x<=2"))
-    assert meet._seed is None
+    # the square's corner (1, 1) lies inside the hull: its other three and (3, 3) are extreme
+    assert set(hull._gens[1]) == {(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 3, 3)}
+    assert meet._seed == (hull._rows, *hull._cone)
     conversions.clear()
     meet.minimized_generators()
-    assert [kind for _, kind in conversions.given] == ["forward"]
+    assert conversions.given == [([poly("x<=2")._rows[0]], "seeded")]
+    assert emitted(meet) == emitted(Polyhedron._from_rep_rows(2, CLOSED, meet._rows))
 
 
 class Tracked(Polyhedron):

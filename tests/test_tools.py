@@ -137,6 +137,36 @@ def test_check_digests_splits_the_conversions_into_forward_seeded_and_dual():
     assert polyhedron._dual_rows is conversions.real_dual_rows
 
 
+def test_check_digests_counts_one_dual_conversion_and_a_seeded_meet_for_a_hull_met_with_a_guard():
+    check_digests = tool("check_digests")
+    square = [[0, 0], [2, 0], [1, 1]], [[0, 2], [2, 2]]  # (1, 1) is not extreme
+    guard = Polyhedron.from_constraints(2, Topology.CLOSED, [Constraint((-1, -1), -3, Rel.GE)])
+
+    class Kind:
+        @staticmethod
+        def run(spec, prepared):
+            a, b = (Polyhedron.from_generators(2, Topology.CLOSED, map(Generator.point, half))
+                    for half in square)
+            hull = a.poly_hull(b)
+            meet = hull.intersection(guard)  # dual: the hull's five raw points
+            meet.is_empty()  # seeded from the hull's four vertices, one row: x + y <= 3
+            hull.minimized_generators()  # read off the dual's matrix, no conversion
+            return meet, ""
+
+        @staticmethod
+        def check(spec, prepared, result):
+            result.minimized_constraints()  # the meet's dual conversion, not counted
+            return []
+
+    conversions = check_digests.Conversions()
+    counted = check_digests.counting(Kind, conversions, check_digests.Fractions())
+    result, _ = counted.run({}, None)
+    assert counted.check({}, None, result) == []
+    # [calls, rows, rays]: the square's four facets, then the meet's five vertices
+    assert conversions.by_kind == {"forward": [0, 0, 0], "seeded": [1, 1, 5], "dual": [1, 5, 4]}
+    assert polyhedron._dual_rows is conversions.real_dual_rows
+
+
 def test_check_digests_counts_the_fractions_of_set_up_and_runs_not_of_checks():
     check_digests = tool("check_digests")
     original = Fraction.__dict__["__new__"]

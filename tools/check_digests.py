@@ -47,7 +47,9 @@ class Conversions:
     """A stand-in for ``polyhedron._dd_cone`` that counts its calls and rows,
     in total and by kind: forward from scratch, seeded forward, and dual
     (the calls made inside ``polyhedron._dual_rows``, which ``dual_rows``
-    stands in for); by kind also the rays the calls returned."""
+    stands in for, passing on the cone and matrix it returns); by kind also
+    the rays the calls returned.  Minimal generators read off a dual
+    conversion's matrix run no call."""
 
     def __init__(self):
         # [calls, rows, rays returned]
