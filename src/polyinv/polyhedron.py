@@ -29,15 +29,15 @@ holds those tuples, not the operand, and drops them once converted.
 A value holds one copy of each description.  The one it was built from
 stays as given, unminimized, until emission or widening asks for it
 minimal; the minimal copy then replaces it.  Conversion is lazy and runs
-at most once per description: a value built from rows converts them to
-its minimal generators and those back to its minimal rows; a value built
-from generators converts them dually to its minimal rows, keeping the
-matrix of which rows saturate which generator, and reads its minimal
-generators off that matrix.  Every other operation reads whichever copy is
-there, so a description nobody reads is never computed, and operations
-that only rewrite rows never convert to test for emptiness.  A row
-system holds each row once, the first copy kept, and an intersection
-that adds no row to an operand returns that operand, generators and all.
+at most once per description, the other read off its matrix of which rows
+saturate which generator: a value built from rows converts them to its
+minimal generators, the matrix's bits indexing its held rows, and one
+built from generators converts them dually to its minimal rows.  Every
+other operation reads whichever copy is there, so a description nobody
+reads is never computed, and operations that only rewrite rows never
+convert to test for emptiness.  A row system holds each row once, the
+first copy kept, and an intersection that adds no row to an operand
+returns that operand, generators and all.
 An intersection also returns an operand held only by generators when
 the other operand's held rows all hold on them: that is inclusion of the
 embeddings, read without a conversion, so the meet is that operand's
@@ -57,7 +57,9 @@ universe, which pads rows.  Every image and projection (affine images,
 compiled affine maps, bounded images, removing and permuting dimensions
 of a value held by generators) is one generator map, ``_mapped``: each
 held line and ray goes through the operation's vector function, is
-normalized, and the zero vectors are dropped.  Affine and bounded images
+normalized, and the zero vectors are dropped.  An invertible affine image
+keeps every saturation: asked for its rows, it substitutes its operand's
+minimal rows and matrix by the inverse map.  Affine and bounded images
 take each expression as an integer row ``(const, c_1..c_n)``; a rational
 update ``x_k := row / den`` is ``affine_map`` of an ``AffineMap`` with a
 universe guard, whose generator map gives the same vectors.
@@ -351,6 +353,56 @@ def _eliminate(vectors: Iterable[Vec], cols: Sequence[int]) -> tuple[dict[int, V
     return pivots, rest
 
 
+def _maximal(masks: Sequence[int], n: int) -> tuple[int, dict[int, int]]:
+    """A 0/1 matrix of ``n`` columns, a bit mask per row, read by column: the columns set in
+    every row, and of the others the first per maximal set of rows setting it, by set."""
+    flat = reduce(and_, masks, (1 << n) - 1)
+    rows_of = [0] * n
+    for k, m in enumerate(masks):
+        m &= ~flat
+        while m:  # each set bit of m, lowest first
+            low = m & -m
+            rows_of[low.bit_length() - 1] |= 1 << k
+            m ^= low
+    first: dict[int, int] = {}
+    for j, m in enumerate(rows_of):
+        if not flat >> j & 1 and m not in first:
+            first[m] = j
+    kept = {}
+    for m, j in first.items():
+        for o in first:
+            if o & m == m and o != m:
+                break
+        else:
+            kept[m] = j
+    return flat, kept
+
+
+def _normal_rows(eqs: list[Vec], ineqs: Iterable[Vec], hom_dim: int) -> tuple[Row, ...]:
+    """Minimal rows in normal form: ``eqs`` eliminated with pivots at their last nonzero
+    column, ``ineqs`` reduced by them in order, the positivity row dropped."""
+    pi = _units(hom_dim)[0]
+    if not eqs:
+        return tuple([(v, False) for v in ineqs if v != pi])
+    pivots, _ = _eliminate(eqs, range(hom_dim - 1, -1, -1))
+    ineqs = [_reduce(v, pivots) if any([v[c] for c in pivots]) else v for v in ineqs]
+    return tuple([(v, True) for v in pivots.values()] + [(v, False) for v in ineqs if v != pi])
+
+
+def _substituted(rows: Iterable[Row], col: int, row: Sequence[int], c: int = 1) -> tuple[Row, ...]:
+    """``rows`` times ``c > 0``, column ``col`` replaced by ``row / c``: a row zero
+    there is kept as it is, and a row made zero is dropped."""
+    out = []
+    for vec, is_eq in rows:
+        if a := vec[col]:
+            v = [c * x + a * r for x, r in zip(vec, row)] + [c * x for x in vec[len(row) :]]
+            v[col] = a * row[col]
+            vec = _norm(v)
+        if vec is not None:
+            out.append((vec, is_eq))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Polyhedron
 # ---------------------------------------------------------------------------
@@ -380,7 +432,9 @@ class Polyhedron:
         "_cone",
         "_dual",
         "_seed",
+        "_pre",
         "_out_cons",
+        "_out_text",
         "_out_gens",
     )
 
@@ -394,14 +448,16 @@ class Polyhedron:
         self._raw: str | None = None  # "rows" or "gens" while that one is unminimized
         self._empty: bool | None = None
         self._box: Box | None = None
-        # (lines, rays, sat, nbits) of the forward conversion or the dual's matrix:
+        # (lines, rays, sat, nbits, indexed rows) of the forward conversion or the dual's:
         # one store keeps the matrix with the rays it describes, even concurrently
-        self._cone: tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[int, ...], int] | None = None
-        # (raw generators, sat) of their dual conversion, until read by _minimal_gens
+        self._cone: tuple | None = None
+        # (raw generators, sat, rays) of their dual conversion, until read by _minimal_gens
         self._dual: tuple | None = None
-        # (rows, lines, rays, sat, nbits) of an operand, until the conversion
+        # (rows, *_cone) of an operand, until the conversion
         self._seed: tuple | None = None
+        self._pre: tuple | None = None  # (source, k, row) of an invertible image x_k := row
         self._out_cons: tuple[Constraint, ...] | None = None
+        self._out_text: tuple | None = None  # (names, rendering)
         self._out_gens: tuple[Generator, ...] | None = None
 
     # -- geometry of the internal representation --------------------------
@@ -538,18 +594,19 @@ class Polyhedron:
 
         From the universe and the positivity row, or from self's seed,
         which is then cleared: an operand's ``_cone`` takes only the rows
-        that operand does not hold.
+        that operand does not hold.  Its bits index the nonzero inequalities in ``_cone[4]``.
         """
         seed, self._seed = self._seed, None
         start = [(self._pi(), False)]
+        index = (start,)
         if seed is not None:
-            held, lines, rays, sat, nbits = seed
+            held, lines, rays, sat, nbits, index = seed
             known = set(held)
             rows = [r for r in rows if r not in known]
             seed, start = (list(lines), list(rays), list(sat), nbits), []
         ordered = [r for r in rows if r[1]] + start + [r for r in rows if not r[1]]
         lines, rays, sat, nbits = _dd_cone(self._hom_dim, ordered, seed)
-        self._cone = (tuple(lines), tuple(rays), tuple(sat), nbits)
+        self._cone = (tuple(lines), tuple(rays), tuple(sat), nbits, (*index, rows))
         return self._cone[:2]
 
     def _is_empty_gens(self, gens: tuple[tuple[Vec, ...], tuple[Vec, ...]]) -> bool:
@@ -560,22 +617,15 @@ class Polyhedron:
         return not any(r[0] > 0 and r[e] > 0 for r in rays)
 
     def _extreme(self, dual) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """The minimal generators read off ``dual``, raw generators and the
-        matrix of their dual conversion, kept in ``_cone`` with the matrix
-        transposed.  The rays saturating every row span the lineality space
-        with the lines; of the others, a ray is extreme when no other ray
-        saturates a strict superset of its rows, one kept per set."""
-        (lines, rays), dsat = dual
-        flat = reduce(and_, dsat, -1)  # the rays saturating every row
+        """The minimal generators read off ``dual`` (raw generators, their dual's matrix
+        and rows), kept in ``_cone`` with the matrix transposed: rays saturating every
+        row span the lineality space with the lines, the others are extreme if maximal."""
+        (lines, rays), dsat, drays = dual
+        flat, kept = _maximal(dsat, len(rays))  # flat: the rays saturating every row
         lineal = [r for k, r in enumerate(rays) if flat >> k & 1]
         pivots, _ = _eliminate([*lines, *lineal], range(self._hom_dim))
-        by_sat: dict[int, Vec] = {}
-        for k, r in enumerate(rays):
-            if not flat >> k & 1:
-                by_sat.setdefault(sum([1 << i for i, m in enumerate(dsat) if m >> k & 1]), r)
-        sat = [m for m in by_sat if not any(o != m and o & m == m for o in by_sat)]
-        rays = tuple([by_sat[m] for m in sat])
-        self._cone = (tuple(pivots.values()), rays, tuple(sat), len(dsat))
+        rays = tuple([rays[k] for k in kept.values()])
+        self._cone = (tuple(pivots.values()), rays, tuple(kept), len(dsat), ([(r, False) for r in drays],))
         return self._cone[:2]
 
     def _minimal_gens(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -592,15 +642,35 @@ class Polyhedron:
                 self._raw = None
         return self._gens
 
+    def _read_rows(self) -> tuple[Row, ...]:
+        """Self's minimal rows read off ``_cone``, which its held equalities and indexed
+        rows define: a row saturated by every ray is an equality, the facets are maximal."""
+        _, _, sat, nbits, index = self._cone
+        flat, kept = _maximal(sat, nbits)
+        ineqs = [v for rows in index for v, is_eq in rows if not is_eq and any(v)]
+        eqs = [v for v, is_eq in self._rows if is_eq] + [v for i, v in enumerate(ineqs) if flat >> i & 1]
+        return _normal_rows(eqs, [ineqs[i] for i in kept.values()], self._hom_dim)
+
     def _minimal_rows(self) -> tuple[Row, ...]:
         if self._rows is None or self._raw == "rows":
             if self.is_empty():
                 self._rows = ((tuple([-1] + [0] * self._rep_dim), False),)  # 0 >= 1
+            elif self._raw == "rows":
+                self._rows = self._read_rows()
+            elif self._pre is not None:  # an invertible map keeps every saturation
+                (source, k, row), self._pre = self._pre, None
+                col, c = 1 + k, row[1 + k]
+                inv = [-x if c > 0 else x for x in row]  # x_k := (x_k - row(x)) / c + x_k, times |c|
+                inv[col], c = (1 if c > 0 else -1), abs(c)
+                rows = _substituted(source._minimal_rows(), col, inv, c)
+                _, _, sat, nbits, index = source._cone
+                self._rows = _normal_rows([v for v, e in rows if e], [v for v, e in rows if not e], self._hom_dim)
+                self._cone = (*self._gens, sat, nbits, tuple([_substituted(r, col, inv, c) for r in index]))
             else:
                 gens = self._gens_any()
                 lines, rays, sat, _ = _dual_rows(self._hom_dim, *gens)
-                if self._raw == "gens":  # the matrix, with the raw generators it indexes
-                    self._dual = (gens, sat)
+                if self._raw == "gens":  # the matrix, with the raw generators and rows it indexes
+                    self._dual = (gens, sat, rays)
                 pi = self._pi()  # the positivity row "1 >= 0" is no constraint
                 self._rows = tuple([(l, True) for l in lines] + [(r, False) for r in rays if r != pi])
             if self._raw == "rows":
@@ -754,8 +824,10 @@ class Polyhedron:
         return sorted(kept, key=Generator.sort_key)
 
     def constraints_pretty(self, names: Sequence[str]) -> str:
-        cs = self.minimized_constraints()  # already in Constraint.sort_key order
-        return "{" + ", ".join([format_constraint(c, names) for c in cs]) + "}"
+        if self._out_text is None or self._out_text[0] != tuple(names):  # the last rendering
+            cs = self.minimized_constraints()  # already in Constraint.sort_key order
+            self._out_text = (tuple(names), "{" + ", ".join([format_constraint(c, names) for c in cs]) + "}")
+        return self._out_text[1]
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self._dim)]
@@ -853,23 +925,17 @@ class Polyhedron:
             out[1 + k] = _dot(row, vec)
             return out
 
-        return self._mapped(self._dim, image)
+        q, c = self._mapped(self._dim, image), row[1 + k]
+        if c and (self._cone is not None or self._pre is not None) and not self._empty:
+            q._raw, q._pre = None, (self, k, tuple(row))  # minimal generators; see _minimal_rows
+        return q
 
     def affine_preimage(self, k: int, row: Sequence[int]) -> Polyhedron:
         """Exact preimage of the single-update map ``x_k := row(x)``."""
         self._check_image(k, row)
         if self._empty:
             return self
-        col = 1 + k
-        rows = []
-        for vec, is_eq in self._rows_any():  # vec with x_k replaced by row
-            out = list(vec)
-            out[col] = 0
-            for i, a in enumerate(row):
-                out[i] += vec[col] * a
-            v = _norm(out)
-            if v is not None:
-                rows.append((v, is_eq))
+        rows = _substituted(self._rows_any(), 1 + k, row)
         return Polyhedron._from_rep_rows(self._dim, self._topology, rows)
 
     def bounded_affine_image(

@@ -34,7 +34,9 @@ fused entry and for the sweep that tests each location's change once.
 ``concat_join`` joins two powersets by reducing the concatenation of
 their elements, the reference for the join that tests only cross pairs;
 ``emitted_bounds`` reads a dimension's bounds off the emitted generators
-in Fractions, the reference for the closure box.
+in Fractions, the reference for the closure box.  ``dual_minimal_rows``
+converts a value's minimal generators dually to its minimal rows, the
+reference for the rows read off a forward conversion's matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +48,14 @@ from math import gcd
 from polyinv.hybrid import _source_flow
 from polyinv.linalg import Constraint, DimensionError, GenKind, Rel
 from polyinv.parse import ParseError
-from polyinv.polyhedron import Polyhedron, Topology, _dot, _norm, _split_inequalities
+from polyinv.polyhedron import (
+    Polyhedron,
+    Topology,
+    _dot,
+    _dual_rows,
+    _norm,
+    _split_inequalities,
+)
 from polyinv.powerset import PolySet, lift
 
 # An inequality in oracle form: (coeffs, rhs, strict) meaning <a,x> >= rhs
@@ -577,3 +586,14 @@ def emitted_bounds(p, k: int):
             x = Fraction(g.coeffs[k], g.divisor)
             lo, hi = x if lo is None else min(lo, x), x if hi is None else max(hi, x)
     return None if down else lo, None if up else hi
+
+
+def dual_minimal_rows(p):
+    """The minimal rows of a nonempty ``p`` by a dual conversion of its minimal
+    generators (``_dual_rows``), as the kernel found a row-built value's before
+    it read them off the forward matrix: the lines are the equalities, the rays
+    the inequalities, the positivity row dropped.  Reads nothing ``p`` holds
+    but its generators."""
+    lines, rays, _, _ = _dual_rows(p._hom_dim, *p._minimal_gens())
+    pi = p._pi()
+    return tuple([(v, True) for v in lines] + [(v, False) for v in rays if v != pi])

@@ -1,4 +1,5 @@
-"""Minimal generators read off the dual conversion's matrix, at d = 5..8.
+"""Minimal generators read off the dual conversion's matrix, and minimal
+rows read off the forward conversion's matrix, at d = 5..8.
 
 A value held by raw generators converts them once, dually, to its
 minimal rows, keeps that conversion's saturation matrix with the
@@ -23,14 +24,31 @@ hulls, closed and NNC (closure points at some vertices).  Their raw
 systems repeat generators, add non-extreme points, rays and lines as
 pairs of opposite rays, or are hulls of values that hold lines, whose
 held lines are then dependent.
+
+On the row side, a value built from rows reads its minimal rows off the
+matrix of its forward conversion, whose bits index its held rows, and an
+invertible affine image carries them with that matrix.  They are checked
+against a dual conversion of the minimal generators
+(``oracles.dual_minimal_rows``), up to each row's scale and an equality's
+sign, and must be in the normal form emission relies on.  The row
+systems are the emitted constraints of the values above with redundant
+sums, scaled and exact duplicates, equalities split into two
+inequalities, opposite rows through a point (an implicit equality) and
+dropped facets (unbounded values); they are read directly, after a
+chain of seeded meets, or after an invertible image, whose preimage must
+emit the value's bytes again, and a non-invertible one.
 """
+
+from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyinv.linalg import Generator, canonicalize_constraint
+from polyinv.linalg import Constraint, Generator, Rel, canonicalize_constraint
 from polyinv.polyhedron import Polyhedron, Topology, _dot, _eliminate, _reduce
 
+from .oracles import dual_minimal_rows
 from .strategies import NNC, SMALL, vectors
 
 CLOSED = Topology.CLOSED
@@ -140,7 +158,7 @@ def test_the_generators_read_off_the_matrix_are_those_of_a_fresh_conversion(case
     gens = p._minimal_gens()
     assert p._dual is None and p._cone[:2] == gens
     # each ray's bits count the facets it saturates, the positivity row among them if one
-    _, rays, sat, nbits = p._cone
+    _, rays, sat, nbits, _ = p._cone
     facets = [v for v, is_eq in rows if not is_eq]
     assert nbits - len(facets) in (0, 1)
     facets += [p._pi()] * (nbits - len(facets))
@@ -184,3 +202,124 @@ def test_a_meet_seeded_from_the_dual_matrix_emits_what_its_rows_from_scratch_do(
         scratch = Polyhedron._from_rep_rows(d, topology, meet._rows)
         assert emitted(meet) == emitted(scratch)
     assert p.contains(meet) and b.contains(meet)
+
+
+@st.composite
+def row_values(draw, topology):
+    """``(d, topology, rows, anchor)``: a raw row system at d = 5..8 from the
+    emitted constraints of a value built from generators, ``anchor`` one of its
+    points (which the system need not keep)."""
+    d, topology, build, anchor = draw(raw_values(topology, cut=True))
+    cons = list(build().minimized_constraints())
+    rows = []
+    for c in cons:
+        if c.rel is Rel.EQ and draw(st.booleans()):  # an equality split in two inequalities
+            rows += [Constraint(c.coeffs, c.rhs, Rel.GE),
+                     Constraint(tuple(-x for x in c.coeffs), -c.rhs, Rel.GE)]
+        elif c.rel is Rel.EQ or d > 6 or draw(st.integers(0, 5)):
+            rows.append(c)  # else a dropped facet: the value may be unbounded
+    ineqs = [c for c in cons if c.rel is not Rel.EQ]
+    index = st.integers(0, len(ineqs) - 1) if ineqs else st.nothing()
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3 if ineqs else 0)):
+        a, b = ineqs[i], ineqs[j]  # their sum, loosened: a redundant row
+        coeffs = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+        if any(coeffs):
+            rows.append(Constraint(coeffs, a.rhs + b.rhs - draw(st.integers(0, 2)), Rel.GE))
+    if rows:
+        picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+        rows += [Constraint(tuple(2 * x for x in rows[i].coeffs), 2 * rows[i].rhs, rows[i].rel)
+                 for i in picks[:1]] + [rows[i] for i in picks[1:]]  # scaled and exact duplicates
+    if draw(st.booleans()):  # opposite rows through the anchor: an implicit equality
+        a = draw(vectors(d).filter(any))
+        at = Fraction(sum(x * y for x, y in zip(a, anchor.coeffs)), anchor.divisor)
+        rows += [canonicalize_constraint(a, ">=", at), canonicalize_constraint(a, "<=", at)]
+    return d, topology, draw(st.permutations(rows)), anchor
+
+
+def canonical_rows(rows):
+    """The rows as a set, each divided by the gcd of its entries and each
+    equality oriented by its last nonzero entry; checks that none repeats."""
+    out = set()
+    for vec, is_eq in rows:
+        g = gcd(*vec)
+        vec = tuple([x // g for x in vec])
+        if is_eq and next(x for x in reversed(vec) if x) < 0:
+            vec = tuple([-x for x in vec])
+        out.add((vec, is_eq))
+    assert len(out) == len(rows)
+    return out
+
+
+def assert_read_as_dual(p: Polyhedron):
+    """``p``'s minimal rows are in normal form, each equality's last nonzero
+    column zero in every other row, and equal the oracle's when ``p`` has at
+    most 48 rays: a dual conversion of more takes seconds at d = 8."""
+    if p.is_empty():
+        return
+    rows = p._minimal_rows()
+    for i, (vec, is_eq) in enumerate(rows):
+        if is_eq:
+            last = max(c for c, x in enumerate(vec) if x)
+            assert all(other[last] == 0 for j, (other, _) in enumerate(rows) if j != i)
+    if len(p._minimal_gens()[1]) <= 48:
+        assert canonical_rows(rows) == canonical_rows(dual_minimal_rows(p))
+
+
+@FUZZ
+@given(st.sampled_from([CLOSED, NNC]).flatmap(row_values))
+def test_rows_read_off_the_forward_matrix_are_those_of_a_dual_conversion(case):
+    d, topology, rows, _ = case
+    p = Polyhedron.from_constraints(d, topology, rows)
+    assert_read_as_dual(p)
+    if not p.is_empty() and topology is CLOSED:  # the same bytes as its generator-built twin
+        twin = Polyhedron.from_generators(d, topology, p.minimized_generators())
+        assert emitted(twin) == emitted(p)
+
+
+@st.composite
+def meet_chains(draw, topology):
+    d, topology, rows, anchor = draw(row_values(topology))
+    return d, topology, rows, draw(cuts(d, topology, anchor)), draw(st.lists(st.booleans(), min_size=3, max_size=3))
+
+
+@FUZZ
+@given(st.sampled_from([CLOSED, NNC]).flatmap(meet_chains))
+def test_a_chain_of_seeded_meets_reads_the_rows_of_a_dual_conversion(case):
+    d, topology, rows, more, asked = case
+    p = Polyhedron.from_constraints(d, topology, rows)
+    for cut, ask in zip(more, asked):  # each meet seeds from the one before
+        if p.is_empty():
+            return
+        if ask:  # the seed then holds its minimal rows, not those its matrix indexes
+            p.minimized_constraints()
+        p = p.intersection(Polyhedron.from_constraints(d, topology, [cut]))
+    assert_read_as_dual(p)
+
+
+@st.composite
+def images(draw, topology):
+    d, topology, rows, anchor = draw(row_values(topology))
+    k = draw(st.integers(0, d - 1))
+    row = [draw(SMALL) for _ in range(d + 1)]
+    row[1 + k] = draw(st.sampled_from([1, -1, 2, -3, 0]))  # 0: not invertible
+    return d, topology, rows, k, row, draw(st.booleans()), draw(cuts(d, topology, anchor))
+
+
+@FUZZ
+@given(st.sampled_from([CLOSED, NNC]).flatmap(images))
+def test_an_image_carries_the_rows_and_an_invertible_one_is_undone_by_its_preimage(case):
+    d, topology, rows, k, row, asked, more = case
+    p = Polyhedron.from_constraints(d, topology, rows)
+    if p.is_empty():
+        return
+    names = [f"x{i}" for i in range(d)]
+    if asked:  # the image's operand holds its minimal rows, not those its matrix indexes
+        p.minimized_constraints()
+    q = p.affine_image(k, row)
+    assert (q._pre is not None) == (row[1 + k] != 0)  # carried only when invertible
+    meet = q.intersection(Polyhedron.from_constraints(d, topology, more))
+    assert_read_as_dual(q)
+    assert_read_as_dual(meet)  # seeded from the carried matrix
+    if row[1 + k]:
+        back = q.affine_preimage(k, row)
+        assert back.constraints_pretty(names) == p.constraints_pretty(names)

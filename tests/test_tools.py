@@ -109,6 +109,7 @@ def test_check_digests_splits_the_conversions_into_forward_seeded_and_dual():
     check_digests = tool("check_digests")
     x, y = Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)
     cut = Constraint((-1, -1), -1, Rel.GE)  # x + y <= 1
+    corners = [[0, 0], [1, 0], [0, 1]]
 
     class Kind:
         @staticmethod
@@ -117,7 +118,9 @@ def test_check_digests_splits_the_conversions_into_forward_seeded_and_dual():
             p.is_empty()  # from scratch, three rows: x >= 0, y >= 0, 1 >= 0
             q = p.intersection(Polyhedron.from_constraints(2, Topology.CLOSED, [cut]))
             q.is_empty()  # seeded from p's generators, one row: x + y <= 1
-            q.minimized_constraints()  # dual, three rows: q's three vertices
+            q.minimized_constraints()  # read off q's matrix, no conversion
+            t = Polyhedron.from_generators(2, Topology.CLOSED, map(Generator.point, corners))
+            t.minimized_constraints()  # dual, three rows: the triangle's three vertices
             return q, ""
 
         @staticmethod
@@ -130,7 +133,7 @@ def test_check_digests_splits_the_conversions_into_forward_seeded_and_dual():
                                      check_digests.Inclusions(), check_digests.Minimizations())
     result, _ = counted.run({}, None)
     assert counted.check({}, None, result) == []
-    # [calls, rows, rays]: p's vertex and two rays, q's three vertices, q's three facets
+    # [calls, rows, rays]: p's vertex and two rays, q's three vertices, t's three facets
     assert conversions.by_kind == {"forward": [1, 3, 3], "seeded": [1, 1, 3], "dual": [1, 3, 3]}
     assert (conversions.calls, conversions.rows) == (3, 7)
     assert polyhedron._dd_cone is conversions.real
@@ -165,6 +168,37 @@ def test_check_digests_counts_one_dual_conversion_and_a_seeded_meet_for_a_hull_m
     # [calls, rows, rays]: the square's four facets, then the meet's five vertices
     assert conversions.by_kind == {"forward": [0, 0, 0], "seeded": [1, 1, 5], "dual": [1, 5, 4]}
     assert polyhedron._dual_rows is conversions.real_dual_rows
+
+
+def test_check_digests_counts_one_read_and_no_dual_conversion_for_a_meet_of_two_row_values():
+    check_digests = tool("check_digests")
+    real = [vars(Polyhedron)["_read_rows"], polyhedron._normal_rows]
+    x, y = Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)
+    cut = Constraint((-1, -1), -2, Rel.GE)  # x + y <= 2
+
+    class Kind:
+        @staticmethod
+        def run(spec, prepared):
+            p = Polyhedron.from_constraints(2, Topology.CLOSED, [x, y])
+            q = Polyhedron.from_constraints(2, Topology.CLOSED, [cut])
+            meet = p.intersection(q)
+            meet.minimized_constraints()  # one forward conversion, its rows read off its matrix
+            shifted = meet.affine_image(0, [1, 1, 0])  # x := x + 1
+            shifted.minimized_constraints()  # the meet's rows carried through the image
+            return meet, ""
+
+        @staticmethod
+        def check(spec, prepared, result):
+            Polyhedron.from_constraints(2, Topology.CLOSED, [cut]).minimized_constraints()
+            return []  # a read, not counted
+
+    conversions, minimizations = check_digests.Conversions(), check_digests.Minimizations()
+    counted = check_digests.counting(Kind, conversions, check_digests.Fractions(), minimizations)
+    result, _ = counted.run({}, None)
+    assert counted.check({}, None, result) == []
+    assert (minimizations.reads, minimizations.carried) == (1, 1)
+    assert conversions.by_kind == {"forward": [1, 4, 3], "seeded": [0, 0, 0], "dual": [0, 0, 0]}
+    assert [vars(Polyhedron)["_read_rows"], polyhedron._normal_rows] == real
 
 
 def test_check_digests_counts_the_fractions_of_set_up_and_runs_not_of_checks():
@@ -294,3 +328,6 @@ def test_check_digests_prints_the_engine_steps_of_a_pool(monkeypatch, capsys):
     assert "reach-lha: 1 items, 0 failed" in out
     # five sweeps and the certificate; each element is imaged once per transition in the sweeps
     assert "reach-lha: 100 Transition.image calls, 24 Polyhedron.time_elapse calls" in out
+    # its printed regions are built from generators, so their rows come from dual conversions
+    assert ("reach-lha: 43 fresh minimal-row computations, 0 read off a forward matrix, "
+            "0 carried through an invertible image and 43 by dual conversion") in out
