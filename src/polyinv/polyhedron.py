@@ -57,9 +57,7 @@ universe, which pads rows.  Every image and projection (affine images,
 compiled affine maps, bounded images, removing and permuting dimensions
 of a value held by generators) is one generator map, ``_mapped``: each
 held line and ray goes through the operation's vector function, is
-normalized, and the zero vectors are dropped.  An invertible affine image
-keeps every saturation: asked for its rows, it substitutes its operand's
-minimal rows and matrix by the inverse map.  Affine and bounded images
+normalized, and the zero vectors are dropped.  Affine and bounded images
 take each expression as an integer row ``(const, c_1..c_n)``; a rational
 update ``x_k := row / den`` is ``affine_map`` of an ``AffineMap`` with a
 universe guard, whose generator map gives the same vectors.
@@ -378,31 +376,6 @@ def _maximal(masks: Sequence[int], n: int) -> tuple[int, dict[int, int]]:
     return flat, kept
 
 
-def _normal_rows(eqs: list[Vec], ineqs: Iterable[Vec], hom_dim: int) -> tuple[Row, ...]:
-    """Minimal rows in normal form: ``eqs`` eliminated with pivots at their last nonzero
-    column, ``ineqs`` reduced by them in order, the positivity row dropped."""
-    pi = _units(hom_dim)[0]
-    if not eqs:
-        return tuple([(v, False) for v in ineqs if v != pi])
-    pivots, _ = _eliminate(eqs, range(hom_dim - 1, -1, -1))
-    ineqs = [_reduce(v, pivots) if any([v[c] for c in pivots]) else v for v in ineqs]
-    return tuple([(v, True) for v in pivots.values()] + [(v, False) for v in ineqs if v != pi])
-
-
-def _substituted(rows: Iterable[Row], col: int, row: Sequence[int], c: int = 1) -> tuple[Row, ...]:
-    """``rows`` times ``c > 0``, column ``col`` replaced by ``row / c``: a row zero
-    there is kept as it is, and a row made zero is dropped."""
-    out = []
-    for vec, is_eq in rows:
-        if a := vec[col]:
-            v = [c * x + a * r for x, r in zip(vec, row)] + [c * x for x in vec[len(row) :]]
-            v[col] = a * row[col]
-            vec = _norm(v)
-        if vec is not None:
-            out.append((vec, is_eq))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Polyhedron
 # ---------------------------------------------------------------------------
@@ -432,7 +405,6 @@ class Polyhedron:
         "_cone",
         "_dual",
         "_seed",
-        "_pre",
         "_out_cons",
         "_out_text",
         "_out_gens",
@@ -455,7 +427,6 @@ class Polyhedron:
         self._dual: tuple | None = None
         # (rows, *_cone) of an operand, until the conversion
         self._seed: tuple | None = None
-        self._pre: tuple | None = None  # (source, k, row) of an invertible image x_k := row
         self._out_cons: tuple[Constraint, ...] | None = None
         self._out_text: tuple | None = None  # (names, rendering)
         self._out_gens: tuple[Generator, ...] | None = None
@@ -649,7 +620,12 @@ class Polyhedron:
         flat, kept = _maximal(sat, nbits)
         ineqs = [v for rows in index for v, is_eq in rows if not is_eq and any(v)]
         eqs = [v for v, is_eq in self._rows if is_eq] + [v for i, v in enumerate(ineqs) if flat >> i & 1]
-        return _normal_rows(eqs, [ineqs[i] for i in kept.values()], self._hom_dim)
+        ineqs, pi = [ineqs[i] for i in kept.values()], self._pi()
+        if eqs:  # normal form: pivots at their last nonzero column, the facets reduced by them
+            pivots, _ = _eliminate(eqs, range(self._hom_dim - 1, -1, -1))
+            eqs = list(pivots.values())
+            ineqs = [_reduce(v, pivots) if any([v[c] for c in pivots]) else v for v in ineqs]
+        return tuple([(v, True) for v in eqs] + [(v, False) for v in ineqs if v != pi])
 
     def _minimal_rows(self) -> tuple[Row, ...]:
         if self._rows is None or self._raw == "rows":
@@ -657,15 +633,6 @@ class Polyhedron:
                 self._rows = ((tuple([-1] + [0] * self._rep_dim), False),)  # 0 >= 1
             elif self._raw == "rows":
                 self._rows = self._read_rows()
-            elif self._pre is not None:  # an invertible map keeps every saturation
-                (source, k, row), self._pre = self._pre, None
-                col, c = 1 + k, row[1 + k]
-                inv = [-x if c > 0 else x for x in row]  # x_k := (x_k - row(x)) / c + x_k, times |c|
-                inv[col], c = (1 if c > 0 else -1), abs(c)
-                rows = _substituted(source._minimal_rows(), col, inv, c)
-                _, _, sat, nbits, index = source._cone
-                self._rows = _normal_rows([v for v, e in rows if e], [v for v, e in rows if not e], self._hom_dim)
-                self._cone = (*self._gens, sat, nbits, tuple([_substituted(r, col, inv, c) for r in index]))
             else:
                 gens = self._gens_any()
                 lines, rays, sat, _ = _dual_rows(self._hom_dim, *gens)
@@ -925,17 +892,23 @@ class Polyhedron:
             out[1 + k] = _dot(row, vec)
             return out
 
-        q, c = self._mapped(self._dim, image), row[1 + k]
-        if c and (self._cone is not None or self._pre is not None) and not self._empty:
-            q._raw, q._pre = None, (self, k, tuple(row))  # minimal generators; see _minimal_rows
-        return q
+        return self._mapped(self._dim, image)
 
     def affine_preimage(self, k: int, row: Sequence[int]) -> Polyhedron:
         """Exact preimage of the single-update map ``x_k := row(x)``."""
         self._check_image(k, row)
         if self._empty:
             return self
-        rows = _substituted(self._rows_any(), 1 + k, row)
+        col = 1 + k
+        rows = []
+        for vec, is_eq in self._rows_any():  # vec with x_k replaced by row
+            out = list(vec)
+            out[col] = 0
+            for i, a in enumerate(row):
+                out[i] += vec[col] * a
+            v = _norm(out)
+            if v is not None:
+                rows.append((v, is_eq))
         return Polyhedron._from_rep_rows(self._dim, self._topology, rows)
 
     def bounded_affine_image(

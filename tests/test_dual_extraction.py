@@ -26,17 +26,16 @@ pairs of opposite rays, or are hulls of values that hold lines, whose
 held lines are then dependent.
 
 On the row side, a value built from rows reads its minimal rows off the
-matrix of its forward conversion, whose bits index its held rows, and an
-invertible affine image carries them with that matrix.  They are checked
-against a dual conversion of the minimal generators
+matrix of its forward conversion, whose bits index its held rows.  They
+are checked against a dual conversion of the minimal generators
 (``oracles.dual_minimal_rows``), up to each row's scale and an equality's
 sign, and must be in the normal form emission relies on.  The row
 systems are the emitted constraints of the values above with redundant
 sums, scaled and exact duplicates, equalities split into two
 inequalities, opposite rows through a point (an implicit equality) and
 dropped facets (unbounded values); they are read directly, after a
-chain of seeded meets, or after an invertible image, whose preimage must
-emit the value's bytes again, and a non-invertible one.
+chain of seeded meets, or after an affine image and a meet; an invertible
+image's preimage must emit the value's bytes again.
 """
 
 from fractions import Fraction
@@ -302,24 +301,21 @@ def images(draw, topology):
     k = draw(st.integers(0, d - 1))
     row = [draw(SMALL) for _ in range(d + 1)]
     row[1 + k] = draw(st.sampled_from([1, -1, 2, -3, 0]))  # 0: not invertible
-    return d, topology, rows, k, row, draw(st.booleans()), draw(cuts(d, topology, anchor))
+    return d, topology, rows, k, row, draw(cuts(d, topology, anchor))
 
 
 @FUZZ
 @given(st.sampled_from([CLOSED, NNC]).flatmap(images))
-def test_an_image_carries_the_rows_and_an_invertible_one_is_undone_by_its_preimage(case):
-    d, topology, rows, k, row, asked, more = case
+def test_an_image_and_its_meet_read_the_rows_of_a_dual_conversion_and_a_preimage_undoes_it(case):
+    d, topology, rows, k, row, more = case
     p = Polyhedron.from_constraints(d, topology, rows)
-    if p.is_empty():
+    if p.is_empty() or len(p._minimal_gens()[1]) > 48:  # the image's dual conversion takes seconds
         return
     names = [f"x{i}" for i in range(d)]
-    if asked:  # the image's operand holds its minimal rows, not those its matrix indexes
-        p.minimized_constraints()
     q = p.affine_image(k, row)
-    assert (q._pre is not None) == (row[1 + k] != 0)  # carried only when invertible
     meet = q.intersection(Polyhedron.from_constraints(d, topology, more))
     assert_read_as_dual(q)
-    assert_read_as_dual(meet)  # seeded from the carried matrix
-    if row[1 + k]:
+    assert_read_as_dual(meet)
+    if row[1 + k]:  # invertible
         back = q.affine_preimage(k, row)
         assert back.constraints_pretty(names) == p.constraints_pretty(names)

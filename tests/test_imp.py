@@ -14,6 +14,7 @@ from polyinv.imp import (
     format_program,
     parse_program,
 )
+from polyinv.linalg import Constraint, Rel
 from polyinv.parse import MAX_DEPTH, ParseError
 
 LOOP = "while 0 < x0 do { x1 := x1 + 2; x0 := x0 - x1 }"
@@ -162,6 +163,14 @@ def test_a_long_straight_line_program():
     assert format_program(parse_program(format_program(p))) == format_program(p)
     result = analyze(p, AbstractStore.from_constraints(["x", "y"], []))
     assert len(result.entries) == 4 * n - 1
+
+
+def test_a_long_chain_of_invertible_assignments_is_tested_and_rendered():
+    n = 1200  # each x := x + 1 images the store before it; no step may recurse down the chain
+    p = parse_program("vars x, y;\n" + "x := x + 1;\n" * n + "if x < 5 then skip else y := x")
+    entry = [Constraint((1, 0), 0, Rel.GE), Constraint((-1, 1), 0, Rel.GE)]  # 0 <= x <= y
+    result = analyze(p, AbstractStore.from_constraints(["x", "y"], entry))
+    assert result.exit_store.pretty() == "{x-y=0, x>=1200}"
 
 
 DEEP = {

@@ -18,8 +18,7 @@ calls) and answered yes there, how many ``PolySet.reduce`` calls they
 made, how many ``Polyhedron.minimized_constraints`` calls they made,
 split into fresh ones (the value had not emitted its constraints before) and cached
 ones, how many minimal-row computations they made, split into reads off a
-forward conversion's matrix (``Polyhedron._read_rows``), carries through
-invertible affine images (the other ``_normal_rows`` calls) and dual
+forward conversion's matrix (``Polyhedron._read_rows`` calls) and dual
 conversions, how many reach engine steps they ran (``Transition.image`` calls, the relation
 images, and ``Polyhedron.time_elapse`` calls, made by the source flows and the
 location updates), and how many ``Fraction`` objects their set-up (``prepare``) and their runs
@@ -153,20 +152,15 @@ class Minimizations:
     fresh ones, on a value that has not emitted its constraints yet, and
     cached ones, which return the constraints emitted before; and the
     minimal rows read off a forward conversion's matrix (``_read_rows``
-    calls) or carried through an invertible affine image (the other
-    ``_normal_rows`` calls, one per read and one per carry)."""
+    calls)."""
 
     def __init__(self):
-        self.fresh = self.cached = self.reads = self.normalized = 0
-
-    @property
-    def carried(self) -> int:
-        return self.normalized - self.reads
+        self.fresh = self.cached = self.reads = 0
 
     @contextmanager
     def counting(self):
         real = vars(Polyhedron)["minimized_constraints"]
-        read_rows, normal_rows = vars(Polyhedron)["_read_rows"], polyhedron._normal_rows
+        read_rows = vars(Polyhedron)["_read_rows"]
 
         def counted(p):
             if p._out_cons is None:
@@ -179,17 +173,11 @@ class Minimizations:
             self.reads += 1
             return read_rows(p)
 
-        def counted_normal(*args):
-            self.normalized += 1
-            return normal_rows(*args)
-
         Polyhedron.minimized_constraints, Polyhedron._read_rows = counted, counted_read
-        polyhedron._normal_rows = counted_normal
         try:
             yield
         finally:
             Polyhedron.minimized_constraints, Polyhedron._read_rows = real, read_rows
-            polyhedron._normal_rows = normal_rows
 
 
 class EngineSteps:
@@ -265,9 +253,8 @@ def check(workload: str) -> int:
     print(f"{workload}: {minimizations.fresh + minimizations.cached} "
           f"Polyhedron.minimized_constraints calls, {minimizations.fresh} fresh and "
           f"{minimizations.cached} cached")
-    print(f"{workload}: {minimizations.normalized + dc} fresh minimal-row computations, "
-          f"{minimizations.reads} read off a forward matrix, {minimizations.carried} carried "
-          f"through an invertible image and {dc} by dual conversion")
+    print(f"{workload}: {minimizations.reads + dc} fresh minimal-row computations, "
+          f"{minimizations.reads} read off a forward matrix and {dc} by dual conversion")
     print(f"{workload}: {steps.images} Transition.image calls, "
           f"{steps.elapses} Polyhedron.time_elapse calls")
     print(f"{workload}: {fractions.built['prepare']} Fraction constructions in set-up, "
