@@ -259,6 +259,8 @@ def analyze(
     variables = tuple(initial.variables)
     if variables != tuple(program.variables):
         raise ValueError("initial store variables differ from the program's")
+    if isinstance(initial.value, PolySet) != (opts.domain == "powerset"):
+        raise ValueError(f"initial store is not of the {opts.domain!r} domain")
     entries: dict[int, Region] = {}
     invariants: dict[int, Region] = {}
     compiled: dict = {}  # rows of expressions by pid, test polyhedra by (pid, branch)

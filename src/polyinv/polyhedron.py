@@ -518,8 +518,15 @@ class Polyhedron:
 
     @staticmethod
     def _encode_constraint(c: Constraint, dim: int, topology: Topology) -> Row:
+        """The held row of ``c``: ``(-rhs, *coeffs)`` divided by their gcd, then
+        the slack's coefficient; a minimal row read off the forward matrix
+        keeps this scale."""
+        head = (-c.rhs, *c.coeffs)
+        g = gcd(*head)
+        if g > 1:
+            head = tuple([x // g for x in head])
         tail = () if topology is Topology.CLOSED else (-1 if c.rel is Rel.GT else 0,)
-        return ((-c.rhs, *c.coeffs, *tail), c.rel is Rel.EQ)
+        return ((*head, *tail), c.rel is Rel.EQ)
 
     @classmethod
     def from_generators(

@@ -183,6 +183,13 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(prog, AbstractStore.top(("a", "b")))
 
+    def test_initial_store_of_another_domain_rejected(self):
+        prog = parse_program(LOOP)
+        with pytest.raises(ValueError, match="'powerset' domain"):
+            analyze(prog, AbstractStore.top(("x0", "x1")), AnalysisOptions(domain="powerset"))
+        with pytest.raises(ValueError, match="'poly' domain"):
+            analyze(prog, store("x0>=1, x1=1", domain="powerset"), AnalysisOptions(domain="poly"))
+
     def test_true_loop_terminates(self):
         prog = parse_program("vars x;\nwhile true do x := x + 1")
         res = analyze(prog, AbstractStore.top(("x",)))

@@ -10,7 +10,8 @@ itself through independent paths:
 
 * a value built from generators and its twin built from the emitted
   rows emit the same constraints and generators, whichever is asked
-  first;
+  first, and every emitted generator satisfies every emitted constraint
+  in integers (a point strictly inside a strict one);
 * a meet seeded from a cone read off the dual's matrix emits what the
   same rows converted from the universe emit;
 * the generators read off the matrix are those a fresh conversion of the
@@ -44,7 +45,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyinv.linalg import Constraint, Generator, Rel, canonicalize_constraint
+from polyinv.linalg import Constraint, GenKind, Generator, Rel, canonicalize_constraint
 from polyinv.polyhedron import Polyhedron, Topology, _dot, _eliminate, _reduce
 
 from .oracles import dual_minimal_rows
@@ -119,6 +120,14 @@ def emitted(p: Polyhedron):
     return p.minimized_constraints(), p.minimized_generators()
 
 
+def satisfies(g: Generator, c: Constraint) -> bool:
+    """``g`` satisfies ``c``, in integers; a point lies strictly inside a ``>`` row."""
+    v = _dot(c.coeffs, g.coeffs) - c.rhs * g.divisor
+    if c.rel is Rel.EQ:
+        return v == 0
+    return v > 0 if c.rel is Rel.GT and g.kind is GenKind.POINT else v >= 0
+
+
 def canonical(p: Polyhedron, gens):
     """The lineality basis in reduced row echelon form, and the rays
     reduced by it, sorted with their repeats."""
@@ -138,6 +147,7 @@ def test_a_value_built_from_generators_emits_what_its_row_built_twin_does(case, 
     else:
         gens = p.minimized_generators()
         cons = p.minimized_constraints()
+    assert all(satisfies(g, c) for g in gens for c in cons)
     twin = Polyhedron.from_constraints(d, topology, cons)
     if topology is NNC:  # its encoding may bound the slack otherwise, and then keep
         assert twin.equals(p)  # other eps-redundant strict rows: the twin of the encoding

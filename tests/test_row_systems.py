@@ -179,3 +179,14 @@ def test_repeated_constraints_give_one_row():
     p = poly("x>=0, x>=0, y=1, y=1", NNC)
     assert len(p._rows_any()) == 2 + 2
     assert [c.rel for c in p.minimized_constraints()] == [Rel.EQ, Rel.GE]
+
+
+def test_hand_built_constraints_are_held_gcd_reduced():
+    scaled = [Constraint((2,), 4, Rel.GE), Constraint((-2,), -8, Rel.GE)]  # 2x >= 4, -2x >= -8
+    q = Polyhedron.from_constraints(1, CLOSED, scaled)
+    assert q._minimal_rows() == (((-2, 1), False), ((4, -1), False))  # read off its matrix
+    strict = Polyhedron.from_constraints(1, NNC, [Constraint((2,), 4, Rel.GT)])  # 2x > 4
+    parsed = build(1, NNC, parse_constraints("x > 2", {"x": 0}, 1))
+    assert strict._rows[0] == ((-2, 1, -1), False) and strict._rows == parsed._rows
+    twin = build(1, CLOSED, parse_constraints("x >= 2, -x >= -4", {"x": 0}, 1))
+    assert twin.intersection(q) is twin  # the same rows: the meet adds none

@@ -2,14 +2,19 @@
 
 import importlib.util
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from polyinv import polyhedron
 from polyinv.hybrid import Transition, location_update, parse_automaton
 from polyinv.linalg import Constraint, Generator, Rel
 from polyinv.polyhedron import Polyhedron, Topology
 from polyinv.powerset import PolySet
+
+from .counting import SITES, counted, sites
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -80,240 +85,146 @@ def test_check_digests_rejects_an_unknown_workload(capsys):
     assert "unknown workload 'reach-lah'" in capsys.readouterr().out
 
 
+def by_kind(runs):
+    """``[calls, rows, rays]`` of each kind of conversion counted in ``runs``."""
+    return {k: [runs[k], runs[k + " rows"], runs[k + " rays"]] for k in ("forward", "seeded", "dual")}
+
+
 def test_check_digests_counts_the_conversions_of_runs_not_of_checks():
-    check_digests = tool("check_digests")
-
-    class Kind:
-        @staticmethod
-        def run(spec, prepared):
-            p = Polyhedron.from_constraints(2, Topology.CLOSED, prepared)
-            p.minimized_generators()  # one conversion, of three rows: x >= 0, y >= 0, 1 >= 0
-            return p, ""
-
-        @staticmethod
-        def check(spec, prepared, result):
-            result.minimized_constraints()  # the dual conversion, not counted
-            return []
-
-    conversions = check_digests.Conversions()
-    counted = check_digests.counting(Kind, conversions, check_digests.Fractions(),
-                                     check_digests.Inclusions(), check_digests.Minimizations())
+    real = polyhedron._dd_cone
     cs = [Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)]
-    result, _ = counted.run({}, cs)
-    assert counted.check({}, cs, result) == []
-    assert (conversions.calls, conversions.rows) == (1, 3)
-    assert polyhedron._dd_cone is conversions.real
+    with counted(Counter()) as runs:
+        p = Polyhedron.from_constraints(2, Topology.CLOSED, cs)
+        p.minimized_generators()  # one conversion, of three rows: x >= 0, y >= 0, 1 >= 0
+    p.minimized_constraints()  # the check's dual conversion, not counted
+    assert (runs["polyhedron._dd_cone"], sum(n for _, n, _ in by_kind(runs).values())) == (1, 3)
+    assert polyhedron._dd_cone is real
 
 
 def test_check_digests_splits_the_conversions_into_forward_seeded_and_dual():
-    check_digests = tool("check_digests")
+    real = polyhedron._dd_cone, polyhedron._dual_rows
     x, y = Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)
     cut = Constraint((-1, -1), -1, Rel.GE)  # x + y <= 1
     corners = [[0, 0], [1, 0], [0, 1]]
-
-    class Kind:
-        @staticmethod
-        def run(spec, prepared):
-            p = Polyhedron.from_constraints(2, Topology.CLOSED, [x, y])
-            p.is_empty()  # from scratch, three rows: x >= 0, y >= 0, 1 >= 0
-            q = p.intersection(Polyhedron.from_constraints(2, Topology.CLOSED, [cut]))
-            q.is_empty()  # seeded from p's generators, one row: x + y <= 1
-            q.minimized_constraints()  # read off q's matrix, no conversion
-            t = Polyhedron.from_generators(2, Topology.CLOSED, map(Generator.point, corners))
-            t.minimized_constraints()  # dual, three rows: the triangle's three vertices
-            return q, ""
-
-        @staticmethod
-        def check(spec, prepared, result):
-            Polyhedron.from_constraints(2, Topology.CLOSED, [cut]).minimized_constraints()
-            return []  # two conversions, not counted
-
-    conversions = check_digests.Conversions()
-    counted = check_digests.counting(Kind, conversions, check_digests.Fractions(),
-                                     check_digests.Inclusions(), check_digests.Minimizations())
-    result, _ = counted.run({}, None)
-    assert counted.check({}, None, result) == []
+    with counted(Counter()) as runs:
+        p = Polyhedron.from_constraints(2, Topology.CLOSED, [x, y])
+        p.is_empty()  # from scratch, three rows: x >= 0, y >= 0, 1 >= 0
+        q = p.intersection(Polyhedron.from_constraints(2, Topology.CLOSED, [cut]))
+        q.is_empty()  # seeded from p's generators, one row: x + y <= 1
+        q.minimized_constraints()  # read off q's matrix, no conversion
+        t = Polyhedron.from_generators(2, Topology.CLOSED, map(Generator.point, corners))
+        t.minimized_constraints()  # dual, three rows: the triangle's three vertices
+    Polyhedron.from_constraints(2, Topology.CLOSED, [cut]).minimized_constraints()  # two, not counted
     # [calls, rows, rays]: p's vertex and two rays, q's three vertices, t's three facets
-    assert conversions.by_kind == {"forward": [1, 3, 3], "seeded": [1, 1, 3], "dual": [1, 3, 3]}
-    assert (conversions.calls, conversions.rows) == (3, 7)
-    assert polyhedron._dd_cone is conversions.real
-    assert polyhedron._dual_rows is conversions.real_dual_rows
+    assert by_kind(runs) == {"forward": [1, 3, 3], "seeded": [1, 1, 3], "dual": [1, 3, 3]}
+    assert (runs["polyhedron._dd_cone"], sum(n for _, n, _ in by_kind(runs).values())) == (3, 7)
+    assert polyhedron._dd_cone is real[0] and polyhedron._dual_rows is real[1]
 
 
 def test_check_digests_counts_one_dual_conversion_and_a_seeded_meet_for_a_hull_met_with_a_guard():
-    check_digests = tool("check_digests")
+    real = polyhedron._dual_rows
     square = [[0, 0], [2, 0], [1, 1]], [[0, 2], [2, 2]]  # (1, 1) is not extreme
     guard = Polyhedron.from_constraints(2, Topology.CLOSED, [Constraint((-1, -1), -3, Rel.GE)])
-
-    class Kind:
-        @staticmethod
-        def run(spec, prepared):
-            a, b = (Polyhedron.from_generators(2, Topology.CLOSED, map(Generator.point, half))
-                    for half in square)
-            hull = a.poly_hull(b)
-            meet = hull.intersection(guard)  # dual: the hull's five raw points
-            meet.is_empty()  # seeded from the hull's four vertices, one row: x + y <= 3
-            hull.minimized_generators()  # read off the dual's matrix, no conversion
-            return meet, ""
-
-        @staticmethod
-        def check(spec, prepared, result):
-            result.minimized_constraints()  # the meet's dual conversion, not counted
-            return []
-
-    conversions = check_digests.Conversions()
-    counted = check_digests.counting(Kind, conversions, check_digests.Fractions())
-    result, _ = counted.run({}, None)
-    assert counted.check({}, None, result) == []
+    with counted(Counter()) as runs:
+        a, b = (Polyhedron.from_generators(2, Topology.CLOSED, map(Generator.point, half))
+                for half in square)
+        hull = a.poly_hull(b)
+        meet = hull.intersection(guard)  # dual: the hull's five raw points
+        meet.is_empty()  # seeded from the hull's four vertices, one row: x + y <= 3
+        hull.minimized_generators()  # read off the dual's matrix, no conversion
+    meet.minimized_constraints()  # the meet's dual conversion, not counted
     # [calls, rows, rays]: the square's four facets, then the meet's five vertices
-    assert conversions.by_kind == {"forward": [0, 0, 0], "seeded": [1, 1, 5], "dual": [1, 5, 4]}
-    assert polyhedron._dual_rows is conversions.real_dual_rows
+    assert by_kind(runs) == {"forward": [0, 0, 0], "seeded": [1, 1, 5], "dual": [1, 5, 4]}
+    assert polyhedron._dual_rows is real
 
 
 def test_check_digests_counts_one_read_and_no_dual_conversion_for_a_meet_of_two_row_values():
-    check_digests = tool("check_digests")
     real = vars(Polyhedron)["_read_rows"]
     x, y = Constraint((1, 0), 0, Rel.GE), Constraint((0, 1), 0, Rel.GE)
     cut = Constraint((-1, -1), -2, Rel.GE)  # x + y <= 2
-
-    class Kind:
-        @staticmethod
-        def run(spec, prepared):
-            p = Polyhedron.from_constraints(2, Topology.CLOSED, [x, y])
-            q = Polyhedron.from_constraints(2, Topology.CLOSED, [cut])
-            meet = p.intersection(q)
-            meet.minimized_constraints()  # one forward conversion, its rows read off its matrix
-            return meet, ""
-
-        @staticmethod
-        def check(spec, prepared, result):
-            Polyhedron.from_constraints(2, Topology.CLOSED, [cut]).minimized_constraints()
-            return []  # a read, not counted
-
-    conversions, minimizations = check_digests.Conversions(), check_digests.Minimizations()
-    counted = check_digests.counting(Kind, conversions, check_digests.Fractions(), minimizations)
-    result, _ = counted.run({}, None)
-    assert counted.check({}, None, result) == []
-    assert minimizations.reads == 1
-    assert conversions.by_kind == {"forward": [1, 4, 3], "seeded": [0, 0, 0], "dual": [0, 0, 0]}
+    with counted(Counter()) as runs:
+        p = Polyhedron.from_constraints(2, Topology.CLOSED, [x, y])
+        q = Polyhedron.from_constraints(2, Topology.CLOSED, [cut])
+        meet = p.intersection(q)
+        meet.minimized_constraints()  # one forward conversion, its rows read off its matrix
+    Polyhedron.from_constraints(2, Topology.CLOSED, [cut]).minimized_constraints()  # not counted
+    assert runs["Polyhedron._read_rows"] == 1
+    assert by_kind(runs) == {"forward": [1, 4, 3], "seeded": [0, 0, 0], "dual": [0, 0, 0]}
     assert vars(Polyhedron)["_read_rows"] is real
 
 
 def test_check_digests_counts_the_fractions_of_set_up_and_runs_not_of_checks():
-    check_digests = tool("check_digests")
     original = Fraction.__dict__["__new__"]
-
-    class Kind:
-        @staticmethod
-        def prepare(spec):
-            return [Fraction(1, 2), Fraction(3)]
-
-        @staticmethod
-        def run(spec, prepared):
-            return Fraction(5, 7), ""
-
-        @staticmethod
-        def check(spec, prepared, result):
-            Fraction(2, 3)  # not counted
-            return []
-
-    fractions = check_digests.Fractions()
-    counted = check_digests.counting(Kind, check_digests.Conversions(), fractions,
-                                     check_digests.Inclusions(), check_digests.Minimizations())
-    with fractions.counting("prepare"):
-        prepared = counted.prepare({})
-    result, _ = counted.run({}, prepared)
-    assert counted.check({}, prepared, result) == []
-    assert fractions.built == {"prepare": 2, "run": 1}
+    with counted(Counter(), sites("__new__")) as setup:
+        prepared = [Fraction(1, 2), Fraction(3)]
+    with counted(Counter()) as runs:
+        result = Fraction(5, 7)
+    Fraction(2, 3)  # not counted
+    assert prepared == [Fraction(1, 2), 3]
+    assert (setup["Fraction.__new__"], runs["Fraction.__new__"]) == (2, 1)
     assert Fraction.__dict__["__new__"] is original and result == Fraction(5, 7)
 
 
 def test_check_digests_counts_the_inclusion_tests_and_reduces_of_runs_not_of_checks():
-    check_digests = tool("check_digests")
     real = [vars(Polyhedron)["box_excludes"], vars(Polyhedron)["contains"], vars(PolySet)["reduce"]]
     x = [Constraint((1,), 0, Rel.GE)]
     small = Polyhedron.from_constraints(1, Topology.CLOSED, x + [Constraint((-1,), -1, Rel.GE)])
     big = Polyhedron.from_constraints(1, Topology.CLOSED, x)
     far = Polyhedron.from_generators(1, Topology.CLOSED, [Generator.point([-5])])
-
-    class Kind:
-        @staticmethod
-        def run(spec, prepared):
-            # three candidate pairs: the full test finds small inside big,
-            # and the boxes (read once each value holds generators) turn
-            # down far inside big and big inside far
-            return PolySet.reduce(1, Topology.CLOSED, [big, small, far]), ""
-
-        @staticmethod
-        def check(spec, prepared, result):
-            assert PolySet.singleton(big).entails(result)  # not counted
-            return []
-
-    inclusions = check_digests.Inclusions()
-    counted = check_digests.counting(Kind, check_digests.Conversions(),
-                                     check_digests.Fractions(), inclusions,
-                                     check_digests.Minimizations())
-    result, _ = counted.run({}, None)
-    assert counted.check({}, None, result) == []
+    with counted(Counter()) as runs:
+        # three candidate pairs: the full test finds small inside big, and the
+        # boxes (read once each value holds generators) turn down far inside
+        # big and big inside far
+        result = PolySet.reduce(1, Topology.CLOSED, [big, small, far])
+    assert PolySet.singleton(big).entails(result)  # not counted
     assert len(result.elements) == 2
-    assert (inclusions.pairs, inclusions.rejected, inclusions.tests) == (3, 2, 1)
-    assert (inclusions.yes, inclusions.reduces) == (1, 1)
+    rejected, tests = runs["box rejections"], runs["Polyhedron.contains"]
+    assert (rejected + tests, rejected, tests) == (3, 2, 1)
+    assert (runs["contains yes"], runs["PolySet.reduce"]) == (1, 1)
     assert [vars(Polyhedron)["box_excludes"], vars(Polyhedron)["contains"],
             vars(PolySet)["reduce"]] == real
 
 
 def test_check_digests_counts_the_fresh_and_cached_minimizations_of_runs_not_of_checks():
-    check_digests = tool("check_digests")
     real = vars(Polyhedron)["minimized_constraints"]
-    x = [Constraint((1,), 0, Rel.GE)]
-
-    class Kind:
-        @staticmethod
-        def run(spec, prepared):
-            p = Polyhedron.from_constraints(1, Topology.CLOSED, x)
-            p.minimized_constraints()  # fresh: the first emission
-            return p, p.constraints_pretty(["x"])  # cached: rendering reads the same rows
-
-        @staticmethod
-        def check(spec, prepared, result):
-            result.minimized_constraints()  # not counted
-            Polyhedron.universe(1, Topology.CLOSED).minimized_constraints()  # not counted
-            return []
-
-    minimizations = check_digests.Minimizations()
-    counted = check_digests.counting(Kind, check_digests.Conversions(), check_digests.Fractions(),
-                                     check_digests.Inclusions(), minimizations)
-    result, text = counted.run({}, None)
-    assert counted.check({}, None, result) == [] and text == "{x>=0}"
-    assert (minimizations.fresh, minimizations.cached) == (1, 1)
+    with counted(Counter()) as runs:
+        p = Polyhedron.from_constraints(1, Topology.CLOSED, [Constraint((1,), 0, Rel.GE)])
+        p.minimized_constraints()  # fresh: the first emission
+        text = p.constraints_pretty(["x"])  # cached: rendering reads the same rows
+    p.minimized_constraints()  # not counted
+    Polyhedron.universe(1, Topology.CLOSED).minimized_constraints()  # not counted
+    fresh = runs["fresh minimizations"]
+    assert text == "{x>=0}"
+    assert (fresh, runs["Polyhedron.minimized_constraints"] - fresh) == (1, 1)
     assert vars(Polyhedron)["minimized_constraints"] is real
 
 
 def test_check_digests_counts_the_engine_steps_of_runs_not_of_checks():
-    check_digests = tool("check_digests")
     real = [vars(Transition)["image"], vars(Polyhedron)["time_elapse"]]
     h = parse_automaton("vars x;\nlocation a { rate: dx = 1; init: x = 0; }\n"
                         "transition a -> a { guard: x >= 1; update: x' = 0; }")
     t, rate = h.transitions[0], h.location("a").rate
-
-    class Kind:
-        @staticmethod
-        def run(spec, prepared):
-            p = h.location("a").init
-            return t.image(p.time_elapse(rate)).time_elapse(rate), ""  # one image, two elapses
-
-        @staticmethod
-        def check(spec, prepared, result):
-            location_update(h, "a", {"a": result})  # an image and elapses, not counted
-            return []
-
-    steps = check_digests.EngineSteps()
-    counted = check_digests.counting(Kind, check_digests.Conversions(),
-                                     check_digests.Fractions(), steps)
-    result, _ = counted.run({}, None)
-    assert counted.check({}, None, result) == []
-    assert (steps.images, steps.elapses) == (1, 2)
+    with counted(Counter()) as runs:
+        p = h.location("a").init
+        result = t.image(p.time_elapse(rate)).time_elapse(rate)  # one image, two elapses
+    location_update(h, "a", {"a": result})  # an image and elapses, not counted
+    assert (runs["Transition.image"], runs["Polyhedron.time_elapse"]) == (1, 2)
     assert [vars(Transition)["image"], vars(Polyhedron)["time_elapse"]] == real
+
+
+def test_counted_puts_back_every_original_when_the_run_raises():
+    originals = [vars(owner)[attribute] for owner, attribute, _ in SITES]
+    with pytest.raises(ZeroDivisionError):
+        with counted(Counter()) as runs:
+            assert Fraction(numerator=6, denominator=4) == Fraction(3, 2)
+            PolySet.reduce(1, Topology.CLOSED, [])
+            Fraction(1, 0)
+    assert all(vars(owner)[attribute] is original
+               for (owner, attribute, _), original in zip(SITES, originals))
+    assert isinstance(vars(PolySet)["reduce"], staticmethod)
+    assert isinstance(vars(Fraction)["__new__"], staticmethod)
+    assert (runs["Fraction.__new__"], runs["PolySet.reduce"]) == (3, 1)
+    assert Fraction(numerator=6, denominator=4) == Fraction(3, 2)
 
 
 def test_check_digests_prints_the_engine_steps_of_a_pool(monkeypatch, capsys):
