@@ -292,10 +292,9 @@ class _PolyScript:
         if kind == "coordinate":
             return _coordinate(ts)
         if kind == "int":
-            tok = ts.peek()
-            if tok is None or tok[0] != "int":
+            if ts.peek()[0] != "int":
                 ts.error("expected an integer")
-            return int(ts.take()[1])
+            return ts.integer(ts.take())
         if kind == "bound" and ts.accept("_"):
             return None
         if kind == "bound":
@@ -334,18 +333,19 @@ def _first_names(tokens: list[Token]) -> list[str]:
 def _coordinate(ts: Tokens) -> Fraction:
     """`['-'] INT ['/' INT]`, quoted whole when it is not a number."""
     start = ts.take()
-    tok, text = start, start[1]
+    num, text = start, start[1]
     if text == "-":
-        tok = ts.take()
-        text += tok[1]
-    valid = tok[0] == "int"
+        num = ts.take()
+        text += num[1]
+    den, valid = None, num[0] == "int"
     if valid and ts.accept("/"):
-        tok = ts.take()
-        text += "/" + tok[1]
-        valid = tok[0] == "int" and int(tok[1]) != 0
+        den = ts.take()
+        text += "/" + den[1]
+        valid = den[0] == "int" and ts.integer(den) != 0
     if not valid:
         raise ParseError(f"not a rational number: {text!r}", start[2], start[3])
-    return Fraction(text)
+    value = Fraction(ts.integer(num), ts.integer(den) if den else 1)
+    return -value if start[1] == "-" else value
 
 
 def _at(tok: Token, fn, *args):

@@ -14,6 +14,8 @@ Concrete syntax::
 
 Every AST node carries a stable pre-order index (`pid`) used by the
 analyzer as the program-point id, plus the source line/column.  The
+parser builds each node once, with its pre-order pid: the descent
+returns plain tuples, and one pass over them makes the nodes.  The
 interpreter is big-step with a fuel bound: each statement execution and
 loop iteration costs one unit, and exhaustion reports divergence, so
 every infinite run is caught by any finite fuel.
@@ -128,11 +130,6 @@ class Program:
         yield from walk_statements(self.body)
 
 
-def _fields(node: Node) -> list:
-    """The values of the fields after pid, line and col, in pid order."""
-    return [getattr(node, f) for f in node.__match_args__[3:]]
-
-
 def walk_statements(s: Stmt) -> Iterator[Stmt]:
     """The statements of the tree rooted at s, s first, in pre-order."""
     while isinstance(s, Seq):
@@ -151,13 +148,16 @@ def walk_statements(s: Stmt) -> Iterator[Stmt]:
 # Parser
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = {"skip", "if", "then", "else", "while", "do", "true", "false", "vars"}
+_KEYWORDS = frozenset({"skip", "if", "then", "else", "while", "do", "true", "false", "vars"})
 
 
 class _Parser(Tokens):
+    """The descent returns each node as a tuple `(cls, line, col, *fields)`,
+    a sequence of two or more statements as `(Seq, line, col, [statements])`;
+    `_build` makes the nodes."""
+
     def __init__(self, text: str):
-        super().__init__(text)
-        self.tokens = [("kw", *t[1:]) if t[1] in _KEYWORDS else t for t in self.tokens]
+        super().__init__(text, _KEYWORDS)
         self.declared: list[str] | None = None  # the `vars` header, if any
 
     def variable(self) -> Token:
@@ -167,58 +167,58 @@ class _Parser(Tokens):
         return tok
 
     # expressions -----------------------------------------------------------
-    # Nodes are built with pid 0; `_renumber` assigns the pre-order pids.
 
-    def atom(self) -> Aexp:
-        tok = self.peek()
-        if tok is None:
-            self.error("expected an expression")
+    def atom(self) -> tuple:
+        tok = self.tokens[self.pos]
         kind, text, line, col = tok
         if kind == "int":
-            self.take()
-            return IntLit(0, line, col, int(text))
-        if text in ("-", "("):
+            self.pos += 1
+            return IntLit, line, col, self.integer(tok)
+        if text == "-" or text == "(":
             self.enter()
-            self.take()
+            self.pos += 1
             if text == "-":
-                e = BinOp(0, line, col, "-", IntLit(0, line, col, 0), self.atom())
+                e = BinOp, line, col, "-", (IntLit, line, col, 0), self.atom()
             else:
                 e = self.aexp()
                 self.take(")")
             self.leave()
             return e
         if kind == "name":
-            return Var(0, line, col, self.variable()[1])
+            return Var, line, col, self.variable()[1]
         self.error("expected an expression")
 
-    def mul(self) -> Aexp:
+    def mul(self) -> tuple:
         e = self.atom()
-        while self.at("*"):
-            _, _, line, col = self.take()
-            e = BinOp(0, line, col, "*", e, self.atom())
+        while self.tokens[self.pos][1] == "*":
+            _, _, line, col = self.tokens[self.pos]
+            self.pos += 1
+            e = BinOp, line, col, "*", e, self.atom()
         return e
 
-    def aexp(self) -> Aexp:
+    def aexp(self) -> tuple:
         e = self.mul()
-        while self.at("+") or self.at("-"):
-            _, op, line, col = self.take()
-            e = BinOp(0, line, col, op, e, self.mul())
+        while self.tokens[self.pos][1] in ("+", "-"):
+            _, op, line, col = self.tokens[self.pos]
+            self.pos += 1
+            e = BinOp, line, col, op, e, self.mul()
         return e
 
-    def bexp(self) -> Bexp:
-        tok = self.peek()
-        if tok is not None and tok[1] in ("true", "false"):
-            self.take()
-            return BoolLit(0, tok[2], tok[3], tok[1] == "true")
+    def bexp(self) -> tuple:
+        _, text, line, col = self.tokens[self.pos]
+        if text == "true" or text == "false":
+            self.pos += 1
+            return BoolLit, line, col, text == "true"
         left = self.aexp()
-        if not (self.at("=") or self.at("<")):
+        _, op, line, col = self.tokens[self.pos]
+        if op != "=" and op != "<":
             self.error("expected '=' or '<'")
-        _, op, line, col = self.take()
-        return Compare(0, line, col, op, left, self.aexp())
+        self.pos += 1
+        return Compare, line, col, op, left, self.aexp()
 
     # statements --------------------------------------------------------------
 
-    def body(self) -> Stmt:
+    def body(self) -> tuple:
         """An `if` or `while` body, or a braced block in a sequence: one level deeper."""
         self.enter()
         if self.accept("{"):
@@ -229,78 +229,71 @@ class _Parser(Tokens):
         self.leave()
         return s
 
-    def element(self) -> Stmt:
-        return self.body() if self.at("{") else self.statement()
-
-    def statement(self) -> Stmt:
-        tok = self.peek()
-        if tok is None:
-            self.error("expected a statement")
-        kind, text, line, col = tok
+    def statement(self) -> tuple:
+        kind, text, line, col = self.tokens[self.pos]
         if text == "skip":
-            self.take()
-            return Skip(0, line, col)
+            self.pos += 1
+            return Skip, line, col
         if text == "if":
-            self.take()
+            self.pos += 1
             cond = self.bexp()
             self.take("then")
             then = self.body()
             self.take("else")
-            return If(0, line, col, cond, then, self.body())
+            return If, line, col, cond, then, self.body()
         if text == "while":
-            self.take()
+            self.pos += 1
             cond = self.bexp()
             self.take("do")
-            return While(0, line, col, cond, self.body())
+            return While, line, col, cond, self.body()
         if kind == "name":
             name = self.variable()[1]
             self.take(":=")
-            return Assign(0, line, col, name, self.aexp())
+            return Assign, line, col, name, self.aexp()
         self.error("expected a statement")
 
-    def sequence(self, until: str | None = None) -> Stmt:
-        stmts = [self.element()]
+    def sequence(self, until: str = "") -> tuple:
+        """Statements up to the token with text `until`; "" is the end of input."""
+        stmts = [self.body() if self.at("{") else self.statement()]
         while self.accept(";"):
-            if self.at(until) if until is not None else self.at_end():
+            if self.at(until):
                 break  # trailing separator
-            stmts.append(self.element())
-        out = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            out = Seq(0, s.line, s.col, s, out)
-        return out
+            stmts.append(self.body() if self.at("{") else self.statement())
+        first = stmts[0]
+        return first if len(stmts) == 1 else (Seq, first[1], first[2], stmts)
 
 
-def _renumber(program_body: Stmt) -> Stmt:
-    """Assign stable pre-order pids over the whole tree, and bound its depth."""
+def _build(tree: tuple) -> Stmt:
+    """The nodes of the parser's tuples, each built once with its pre-order pid.
+
+    A node deeper than MAX_DEPTH is an error at it.  The statements of a
+    sequence but the last are each a `first` one level down, and the last
+    is the chain's final `second` at the chain's own depth.
+    """
     pids = count()
 
-    def visit(node, depth):
+    def build(t: tuple, depth: int):
         if depth > MAX_DEPTH:
-            raise ParseError(TOO_DEEP, node.line, node.col)
-        spine = []  # each Seq of the chain, with its pid and its renumbered first
-        while isinstance(node, Seq):
-            pid = next(pids)
-            spine.append((node, pid, visit(node.first, depth + 1)))
-            node = node.second
+            raise ParseError(TOO_DEEP, t[1], t[2])
+        cls = t[0]
+        if cls is Seq:
+            stmts = t[3]
+            spine = [(next(pids), build(s, depth + 1)) for s in stmts[:-1]]
+            out = build(stmts[-1], depth)
+            for pid, first in reversed(spine):
+                out = Seq(pid, first.line, first.col, first, out)
+            return out
         pid = next(pids)
-        values = [visit(v, depth + 1) if isinstance(v, Node) else v for v in _fields(node)]
-        out = type(node)(pid, node.line, node.col, *values)
-        for seq, pid, first in reversed(spine):
-            out = Seq(pid, seq.line, seq.col, first, out)
-        return out
+        if len(t) < 5:  # Skip, or a literal or variable and its value
+            return cls(pid, *t[1:])
+        depth += 1
+        if cls is Assign:
+            return Assign(pid, t[1], t[2], t[3], build(t[4], depth))
+        if cls is BinOp or cls is Compare:
+            return cls(pid, t[1], t[2], t[3], build(t[4], depth), build(t[5], depth))
+        return cls(pid, t[1], t[2], *[build(v, depth) for v in t[3:]])  # If, While
 
-    return visit(program_body, 1)
-
-
-def _collect_vars(s, acc: list[str]) -> None:
-    while isinstance(s, Seq):
-        _collect_vars(s.first, acc)
-        s = s.second
-    if isinstance(s, (Var, Assign)) and s.name not in acc:
-        acc.append(s.name)
-    for v in _fields(s):
-        if isinstance(v, Node):
-            _collect_vars(v, acc)
+    return build(tree, 1)
 
 
 def parse_program(text: str) -> Program:
@@ -311,15 +304,14 @@ def parse_program(text: str) -> Program:
             if tok[1] in parser.declared:
                 raise ParseError(f"duplicate variable {tok[1]!r}", tok[2], tok[3])
             parser.declared.append(tok[1])
-    body = parser.sequence()
+    tree = parser.sequence()
     if not parser.at_end():
         parser.error("expected ';'")
-    body = _renumber(body)
-    declared = parser.declared
-    if declared is None:
-        declared = []
-        _collect_vars(body, declared)
-    return Program(tuple(declared), body)
+    body = _build(tree)
+    if parser.declared is not None:
+        return Program(tuple(parser.declared), body)
+    # every name token is a Var or an Assign's target, in pre-order
+    return Program(tuple(dict.fromkeys(t[1] for t in parser.tokens if t[0] == "name")), body)
 
 
 # ---------------------------------------------------------------------------

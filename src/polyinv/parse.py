@@ -52,7 +52,7 @@ class ParseError(ValueError):
 MAX_DEPTH = 100  # the deepest nesting any input may have
 TOO_DEEP = f"nesting deeper than {MAX_DEPTH} levels"
 
-Token = tuple[str, str, int, int]  # (kind, text, line, col); kind in int/name/op (.imp adds kw)
+Token = tuple[str, str, int, int]  # (kind, text, line, col); kind in int/name/op/end (.imp adds kw)
 
 # Within one line, whitespace and a comment are skipped as the prefix of
 # the next token.  After the longest such prefix a token, a bad character
@@ -67,76 +67,85 @@ _KINDS = (None, "name", "int", "op", "bad")  # by the group numbers of _TOKEN_RE
 _RELATIONS = ("<", "<=", "=", ">=", ">")
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split `text` into tokens by the rule above."""
+def tokenize(text: str, keywords: frozenset[str] = frozenset()) -> list[Token]:
+    """Split `text` into tokens by the rule above; a name in `keywords` has kind kw."""
     tokens = []
     for line, chars in enumerate(text.split("\n"), 1):
         for m in _TOKEN_RE.finditer(chars):
             group = m.lastindex
             if group is None:  # only whitespace and a comment were left
                 break
-            kind = _KINDS[group]
+            kind, word = _KINDS[group], m.group(group)
             if kind == "bad":
-                raise ParseError(f"unexpected character {m.group(group)!r}", line, m.start(group) + 1)
-            tokens.append((kind, m.group(group), line, m.start(group) + 1))
+                raise ParseError(f"unexpected character {word!r}", line, m.start(group) + 1)
+            tokens.append(("kw" if word in keywords else kind, word, line, m.start(group) + 1))
     return tokens
 
 
 class Tokens:
-    """A cursor over the tokens of one text; its errors carry line:col."""
+    """A cursor over the tokens of one text; its errors carry line:col.
 
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    The last token is `("end", "", *end)` at the end of the text, so the
+    cursor always stands on a token.
+    """
+
+    def __init__(self, text: str, keywords: frozenset[str] = frozenset()):
+        self.end = (text.count("\n") + 1, len(text) - text.rfind("\n"))
+        self.tokens = tokenize(text, keywords)
+        self.tokens.append(("end", "", *self.end))
         self.pos = 0
         self.depth = 0  # nested constructs entered and not yet left
-        self.end = (text.count("\n") + 1, len(text) - text.rfind("\n"))
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == text
+        return self.tokens[self.pos][1] == text
 
     def accept(self, text: str) -> bool:
         """Take the next token if it has this text."""
-        found = self.at(text)
+        found = self.tokens[self.pos][1] == text
         self.pos += found
         return found
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos][0] == "end"
 
     def error(self, message: str) -> NoReturn:
         """Raise `message` at the next token, naming what was found there."""
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"{message}, got end of input", *self.end)
-        raise ParseError(f"{message}, got {tok[1]!r}", tok[2], tok[3])
+        kind, text, line, col = self.tokens[self.pos]
+        raise ParseError(f"{message}, got {'end of input' if kind == 'end' else repr(text)}", line, col)
 
     def enter(self) -> None:
         """Step into a nested construct that starts at the next token."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError(TOO_DEEP, *(tok[2:] if tok else self.end))
+            raise ParseError(TOO_DEEP, *self.tokens[self.pos][2:])
 
     def leave(self) -> None:
         self.depth -= 1
 
     def take(self, expect: str | None = None) -> Token:
         """Take the next token; with `expect`, it must have that text."""
-        tok = self.peek()
-        if tok is None or expect is not None and tok[1] != expect:
+        tok = self.tokens[self.pos]
+        if tok[0] == "end" or expect is not None and tok[1] != expect:
             after = f" after {self.tokens[self.pos - 1][1]!r}" if self.pos else ""
             self.error(f"expected {repr(expect) if expect else 'more input'}{after}")
         self.pos += 1
         return tok
 
+    @staticmethod
+    def integer(tok: Token) -> int:
+        """The value of the INT token `tok`; one too long to convert is an error at it."""
+        try:
+            return int(tok[1])
+        except ValueError:  # past the interpreter's limit on the digits of a str
+            raise ParseError(f"integer of {len(tok[1])} digits is too long", tok[2], tok[3]) from None
+
     def name(self) -> Token:
         """Take an unprimed name."""
-        tok = self.peek()
-        if tok is None or tok[0] != "name":
+        tok = self.tokens[self.pos]
+        if tok[0] != "name":
             self.error("expected a name")
         if tok[1].endswith("'"):
             raise ParseError("unexpected character \"'\"", tok[2], tok[3] + len(tok[1]) - 1)
@@ -156,12 +165,12 @@ def _term(ts: Tokens, var_index: Mapping[str, int]) -> tuple[int, int]:
     """`(column, coefficient)`: column 0 for a constant, 1 + i for variable i."""
     tok = ts.peek()
     coeff, what = 1, "a term"
-    if tok is not None and tok[0] == "int":
+    if tok[0] == "int":
         ts.take()
         if not ts.accept("*"):
-            return 0, int(tok[1])
-        coeff, what, tok = int(tok[1]), "a variable after '*'", ts.peek()
-    if tok is None or tok[0] != "name":
+            return 0, ts.integer(tok)
+        coeff, what, tok = ts.integer(tok), "a variable after '*'", ts.peek()
+    if tok[0] != "name":
         ts.error(f"expected {what}")
     if tok[1] not in var_index:
         raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
@@ -184,7 +193,7 @@ def linear_expr(ts: Tokens, var_index: Mapping[str, int], dim: int) -> list[int]
 def _constraint(ts: Tokens, var_index: Mapping[str, int], dim: int) -> Constraint:
     lhs = linear_expr(ts, var_index, dim)
     tok = ts.peek()
-    if tok is None or tok[1] not in _RELATIONS:
+    if tok[1] not in _RELATIONS:
         ts.error("expected a relation")
     ts.take()
     rhs = linear_expr(ts, var_index, dim)
@@ -199,8 +208,7 @@ def constraint_list(
     The list is empty when the cursor already stands there; the caller
     takes whatever follows the list.
     """
-    tok = ts.peek()
-    if tok is None or tok[1] in end:
+    if ts.at_end() or ts.peek()[1] in end:
         return []
     out = [_constraint(ts, var_index, dim)]
     while ts.accept(","):

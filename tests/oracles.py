@@ -37,17 +37,22 @@ their elements, the reference for the join that tests only cross pairs;
 in Fractions, the reference for the closure box.  ``dual_minimal_rows``
 converts a value's minimal generators dually to its minimal rows, the
 reference for the rows read off a forward conversion's matrix.
+``former_parse_program`` parses a ``.imp`` program in two phases, nodes
+with pid 0 and then a rebuild with the pre-order pids and a walk for the
+variables, the reference for the parser that builds each node once.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
+from polyinv import imp
 from polyinv.hybrid import _source_flow
 from polyinv.linalg import Constraint, DimensionError, GenKind, Rel
-from polyinv.parse import ParseError
+from polyinv.parse import MAX_DEPTH, TOO_DEEP, ParseError, Tokens
 from polyinv.polyhedron import (
     Polyhedron,
     Topology,
@@ -471,7 +476,7 @@ def random_rational_point(rng: random.Random, dim: int, bound: int = 12):
 
 def _fraction_variable(ts, var_index, dim, what):
     tok = ts.peek()
-    if tok is None or tok[0] != "name":
+    if tok[0] != "name":
         ts.error(f"expected {what}")
     if tok[1] not in var_index:
         raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
@@ -484,7 +489,7 @@ def _fraction_variable(ts, var_index, dim, what):
 
 def _fraction_term(ts, var_index, dim):
     tok = ts.peek()
-    if tok is None or tok[0] != "int":
+    if tok[0] != "int":
         return _fraction_variable(ts, var_index, dim, "a term")
     ts.take()
     if not ts.accept("*"):
@@ -511,7 +516,7 @@ def fraction_constraint(ts, var_index, dim) -> Constraint:
     """``expr rel expr`` at the cursor, canonicalized through Fractions."""
     lhs, lconst = fraction_linear_expr(ts, var_index, dim)
     tok = ts.peek()
-    if tok is None or tok[1] not in ("<", "<=", "=", ">=", ">"):
+    if tok[1] not in ("<", "<=", "=", ">=", ">"):
         ts.error("expected a relation")
     ts.take()
     rhs, rconst = fraction_linear_expr(ts, var_index, dim)
@@ -597,3 +602,171 @@ def dual_minimal_rows(p):
     lines, rays, _, _ = _dual_rows(p._hom_dim, *p._minimal_gens())
     pi = p._pi()
     return tuple([(v, True) for v in lines] + [(v, False) for v in rays if v != pi])
+
+
+# The `.imp` parser in two phases: the descent builds every node with pid 0,
+# then ``_renumber`` rebuilds the tree with the pre-order pids and bounds its
+# depth, and ``_collect_vars`` walks it for the variables of a program with no
+# ``vars`` header.  These are the bodies ``polyinv.imp`` had before it built
+# each node once.
+
+_FORMER_KEYWORDS = {"skip", "if", "then", "else", "while", "do", "true", "false", "vars"}
+
+
+class _FormerParser(Tokens):
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.tokens = [("kw", *t[1:]) if t[1] in _FORMER_KEYWORDS else t for t in self.tokens]
+        self.declared: list[str] | None = None
+
+    def variable(self):
+        tok = self.name()
+        if self.declared is not None and tok[1] not in self.declared:
+            raise ParseError(f"undeclared variable {tok[1]!r}", tok[2], tok[3])
+        return tok
+
+    def atom(self):
+        kind, text, line, col = self.peek()
+        if kind == "int":
+            self.take()
+            return imp.IntLit(0, line, col, int(text))
+        if text in ("-", "("):
+            self.enter()
+            self.take()
+            if text == "-":
+                e = imp.BinOp(0, line, col, "-", imp.IntLit(0, line, col, 0), self.atom())
+            else:
+                e = self.aexp()
+                self.take(")")
+            self.leave()
+            return e
+        if kind == "name":
+            return imp.Var(0, line, col, self.variable()[1])
+        self.error("expected an expression")
+
+    def mul(self):
+        e = self.atom()
+        while self.at("*"):
+            _, _, line, col = self.take()
+            e = imp.BinOp(0, line, col, "*", e, self.atom())
+        return e
+
+    def aexp(self):
+        e = self.mul()
+        while self.at("+") or self.at("-"):
+            _, op, line, col = self.take()
+            e = imp.BinOp(0, line, col, op, e, self.mul())
+        return e
+
+    def bexp(self):
+        tok = self.peek()
+        if tok[1] in ("true", "false"):
+            self.take()
+            return imp.BoolLit(0, tok[2], tok[3], tok[1] == "true")
+        left = self.aexp()
+        if not (self.at("=") or self.at("<")):
+            self.error("expected '=' or '<'")
+        _, op, line, col = self.take()
+        return imp.Compare(0, line, col, op, left, self.aexp())
+
+    def body(self):
+        self.enter()
+        if self.accept("{"):
+            s = self.sequence(until="}")
+            self.take("}")
+        else:
+            s = self.statement()
+        self.leave()
+        return s
+
+    def element(self):
+        return self.body() if self.at("{") else self.statement()
+
+    def statement(self):
+        kind, text, line, col = self.peek()
+        if text == "skip":
+            self.take()
+            return imp.Skip(0, line, col)
+        if text == "if":
+            self.take()
+            cond = self.bexp()
+            self.take("then")
+            then = self.body()
+            self.take("else")
+            return imp.If(0, line, col, cond, then, self.body())
+        if text == "while":
+            self.take()
+            cond = self.bexp()
+            self.take("do")
+            return imp.While(0, line, col, cond, self.body())
+        if kind == "name":
+            name = self.variable()[1]
+            self.take(":=")
+            return imp.Assign(0, line, col, name, self.aexp())
+        self.error("expected a statement")
+
+    def sequence(self, until=None):
+        stmts = [self.element()]
+        while self.accept(";"):
+            if self.at(until) if until is not None else self.at_end():
+                break
+            stmts.append(self.element())
+        out = stmts[-1]
+        for s in reversed(stmts[:-1]):
+            out = imp.Seq(0, s.line, s.col, s, out)
+        return out
+
+
+def _fields(node) -> list:
+    return [getattr(node, f) for f in node.__match_args__[3:]]
+
+
+def _renumber(program_body):
+    pids = count()
+
+    def visit(node, depth):
+        if depth > MAX_DEPTH:
+            raise ParseError(TOO_DEEP, node.line, node.col)
+        spine = []
+        while isinstance(node, imp.Seq):
+            pid = next(pids)
+            spine.append((node, pid, visit(node.first, depth + 1)))
+            node = node.second
+        pid = next(pids)
+        values = [visit(v, depth + 1) if isinstance(v, imp.Node) else v for v in _fields(node)]
+        out = type(node)(pid, node.line, node.col, *values)
+        for seq, pid, first in reversed(spine):
+            out = imp.Seq(pid, seq.line, seq.col, first, out)
+        return out
+
+    return visit(program_body, 1)
+
+
+def _collect_vars(s, acc: list[str]) -> None:
+    while isinstance(s, imp.Seq):
+        _collect_vars(s.first, acc)
+        s = s.second
+    if isinstance(s, (imp.Var, imp.Assign)) and s.name not in acc:
+        acc.append(s.name)
+    for v in _fields(s):
+        if isinstance(v, imp.Node):
+            _collect_vars(v, acc)
+
+
+def former_parse_program(text: str):
+    parser = _FormerParser(text)
+    if parser.accept("vars"):
+        parser.declared = []
+        for tok in parser.names():
+            if tok[1] in parser.declared:
+                raise ParseError(f"duplicate variable {tok[1]!r}", tok[2], tok[3])
+            parser.declared.append(tok[1])
+    body = parser.sequence()
+    if not parser.at_end():
+        parser.error("expected ';'")
+    body = _renumber(body)
+    declared = parser.declared
+    if declared is None:
+        declared = []
+        _collect_vars(body, declared)
+    return imp.Program(tuple(declared), body)

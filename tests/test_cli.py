@@ -1,6 +1,7 @@
 """CLI behavior: golden lines, exit codes, determinism, re-parse property."""
 
 import io
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -408,3 +409,40 @@ class TestPolyCalculator:
         code, out, err = self.run_script(tmp_path, script)
         assert (code, out) == (1, "true\n")
         assert err.startswith("error: ")
+
+
+HUGE = "9" * 5000  # past the interpreter's default limit of 4,300 digits for int(str)
+
+
+@pytest.fixture()
+def int_digit_limit():
+    """The interpreter's default limit on the digits that int() converts from a str."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integer strings of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "command, text, options, where",
+    [
+        ("analyze", f"x := 1;\ny := {HUGE}", [], "2:6"),
+        ("analyze", "x := 1", ["--assume", f"x >= {HUGE}"], "1:6"),
+        ("reach", f"vars x;\nlocation a {{ rate: dx = 1; init: x = {HUGE} }}\n", [], "2:38"),
+        ("poly", f"vars x;\nprint {{x >= {HUGE}}};\n", [], "2:13"),
+        ("poly", f"vars x;\nprint embed({{x >= 0}}, {HUGE});\n", [], "2:23"),
+        ("poly", f"vars x;\nprint contains_point({{x >= 0}}, -{HUGE});\n", [], "2:33"),
+        ("poly", f"vars x;\nprint contains_point({{x >= 0}}, 1/{HUGE});\n", [], "2:34"),
+    ],
+    ids=["imp", "assume", "lha", "poly-constraint", "poly-integer", "poly-numerator",
+         "poly-denominator"],
+)
+def test_an_integer_too_long_to_convert_is_an_input_error_at_its_position(
+    int_digit_limit, tmp_path, command, text, options, where
+):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run_cli(command, str(path), *options)
+    assert (code, out, err) == (1, "", f"error: {where}: integer of 5000 digits is too long\n")

@@ -78,7 +78,8 @@ def points(draw, d, family):
 @st.composite
 def raw_values(draw, topology, cut=False):
     """``(d, topology, build, anchor)``: ``build()`` makes a fresh value held by
-    raw generators, ``anchor`` one of its points; ``cut`` if it is to be met."""
+    raw generators (``build(NNC)`` the same closed set as an NNC value),
+    ``anchor`` one of its points; ``cut`` if it is to be met."""
     d = draw(st.integers(5, 8))
     # past d = 6 a ray, a strict facet or a cut multiplies the facets past what
     # converts fast: a cross-polytope there is closed, uncut and takes no ray,
@@ -103,12 +104,12 @@ def raw_values(draw, topology, cut=False):
     gens += [gens[i] for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=3))]
     split = draw(st.integers(1, len(pts) - 1)) if lines and draw(st.booleans()) else None
 
-    def build():
+    def build(as_topology=topology):
         if split is None:
-            return Polyhedron.from_generators(d, topology, gens)
+            return Polyhedron.from_generators(d, as_topology, gens)
         # a hull of two values whose minimal generators hold the same lines
-        a = Polyhedron.from_generators(d, topology, gens[:split] + lines)
-        b = Polyhedron.from_generators(d, topology, gens[:1] + gens[split:])
+        a = Polyhedron.from_generators(d, as_topology, gens[:split] + lines)
+        b = Polyhedron.from_generators(d, as_topology, gens[:1] + gens[split:])
         a.minimized_generators()
         b.minimized_generators()
         return a.poly_hull(b)
@@ -329,3 +330,23 @@ def test_an_image_and_its_meet_read_the_rows_of_a_dual_conversion_and_a_preimage
     if row[1 + k]:  # invertible
         back = q.affine_preimage(k, row)
         assert back.constraints_pretty(names) == p.constraints_pretty(names)
+
+
+@st.composite
+def closed_sets(draw):
+    """``make``: ``make(topology)`` builds a fresh value of a closed set at
+    d = 5..8 in ``topology``, from raw generators or from a raw row system."""
+    if draw(st.booleans()):
+        _, _, build, _ = draw(raw_values(CLOSED))
+        return build
+    d, _, rows, _ = draw(row_values(CLOSED))
+    return lambda topology: Polyhedron.from_constraints(d, topology, rows)
+
+
+@FUZZ
+@given(closed_sets(), st.booleans())
+def test_a_closed_set_emits_the_same_as_a_closed_and_as_an_nnc_value(make, rows_first):
+    closed, nnc = make(CLOSED), make(NNC)
+    if not rows_first:
+        nnc.minimized_generators()
+    assert emitted(nnc) == emitted(closed)
