@@ -184,13 +184,22 @@ class Generator:
 # Rendering
 # ---------------------------------------------------------------------------
 
+def _text(x: int | Fraction) -> str:
+    """``str(x)``; past the limit on int-to-str conversion, a result too large to print."""
+    try:
+        return str(x)
+    except ValueError:
+        bits = max(abs(x.numerator), x.denominator).bit_length()
+        raise ArithmeticError(f"a result coefficient of {bits} bits is too long to print") from None
+
+
 def format_linexpr_terms(coeffs: Sequence[int], names: Sequence[str]) -> str:
     parts: list[str] = []
     for c, name in zip(coeffs, names):
         if c == 0:
             continue
         mag = abs(c)
-        term = name if mag == 1 else f"{mag}*{name}"
+        term = name if mag == 1 else f"{_text(mag)}*{name}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -209,11 +218,11 @@ def format_constraint(c: Constraint, names: Sequence[str]) -> str:
         op = "<=" if rel is Rel.GE else "<"
     else:
         op = rel.value
-    return f"{format_linexpr_terms(coeffs, names)}{op}{rhs}"
+    return f"{format_linexpr_terms(coeffs, names)}{op}{_text(rhs)}"
 
 
 def format_generator(g: Generator) -> str:
     if g.is_ray():
-        return "ray(" + ", ".join(str(c) for c in g.coeffs) + ")"
-    coords = ", ".join(str(Fraction(c, g.divisor)) for c in g.coeffs)
+        return "ray(" + ", ".join(_text(c) for c in g.coeffs) + ")"
+    coords = ", ".join(_text(Fraction(c, g.divisor)) for c in g.coeffs)
     return f"{g.kind.value}({coords})"

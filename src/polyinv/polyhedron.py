@@ -29,21 +29,21 @@ holds those tuples, not the operand, and drops them once converted.
 A value holds one copy of each description.  The one it was built from
 stays as given, unminimized, until emission or widening asks for it
 minimal; the minimal copy then replaces it.  Conversion is lazy and runs
-at most once per description, the other read off its matrix of which rows
-saturate which generator: a value built from rows converts them to its
-minimal generators, the matrix's bits indexing its held rows, and one
-built from generators converts them dually to its minimal rows.  Every
-other operation reads whichever copy is there, so a description nobody
-reads is never computed, and operations that only rewrite rows never
-convert to test for emptiness.  A row system holds each row once, the
-first copy kept, and an intersection that adds no row to an operand
-returns that operand, generators and all.
-An intersection also returns an operand held only by generators when
-the other operand's held rows all hold on them: that is inclusion of the
-embeddings, read without a conversion, so the meet is that operand's
-cone.  The closure of an NNC value whose held rows have no slack
-coefficient but the two side rows is the value itself: those rows
-encode the set times ``0 <= eps <= 1``; less the slack, its closed twin.
+at most once per description, the other read off the one matrix a value
+holds, of which rows saturate which generator: built from rows, a value
+converts them to its minimal generators, the bits indexing its held rows;
+built from generators, it converts them dually to its minimal rows, the
+bits indexing those generators until read.  Every other operation reads
+whichever copy is there, so a description nobody reads is never computed,
+and operations that only rewrite rows never convert to test for emptiness.
+A row system holds each row once, the first copy kept, and an intersection
+that adds no row to an operand returns that operand, generators and all.
+An intersection also returns an operand held only by generators when the
+other operand's held rows all hold on them: that is inclusion of the
+embeddings, read without a conversion, so the meet is that operand's cone.
+The closure of an NNC value whose held rows have no slack coefficient but
+the two side rows is the value itself: those rows encode the set times
+``0 <= eps <= 1``; less the slack, its closed twin.
 
 Not-necessarily-closed (NNC) polyhedra are embedded as closed polyhedra
 with one extra slack dimension ``eps``: a strict ``<a, x> > b`` becomes
@@ -122,6 +122,8 @@ Row = tuple[Vec, bool]  # (vector, is_equality)
 Bound = tuple[int, int]  # (num, den), den > 0: the rational num / den
 Box = tuple[tuple[Bound | None, Bound | None], ...]  # (lo, hi) per dimension, None unbounded
 Cone = tuple[list[Vec], list[Vec], list[int], int]  # (lines, rays, sat, nbits): see _dd_cone
+# a value's one saturation matrix (Polyhedron._cone): a Cone and, last, what its bits index
+HeldCone = tuple[Sequence[Vec], Sequence[Vec], Sequence[int], int, tuple]
 
 
 class TopologyError(ValueError):
@@ -351,29 +353,29 @@ def _eliminate(vectors: Iterable[Vec], cols: Sequence[int]) -> tuple[dict[int, V
     return pivots, rest
 
 
-def _maximal(masks: Sequence[int], n: int) -> tuple[int, dict[int, int]]:
-    """A 0/1 matrix of ``n`` columns, a bit mask per row, read by column: the columns set in
-    every row, and of the others the first per maximal set of rows setting it, by set."""
-    flat = reduce(and_, masks, (1 << n) - 1)
-    rows_of = [0] * n
+def _maximal(masks: Sequence[int], vecs: Sequence[Vec]) -> tuple[list[Vec], dict[int, Vec]]:
+    """A 0/1 matrix, a bit mask per row over the columns ``vecs``, read by column: the vectors
+    set in every row, and of the others the first per maximal set of rows setting it, by set."""
+    flat = reduce(and_, masks, (1 << len(vecs)) - 1)
+    rows_of = [0] * len(vecs)
     for k, m in enumerate(masks):
         m &= ~flat
         while m:  # each set bit of m, lowest first
             low = m & -m
             rows_of[low.bit_length() - 1] |= 1 << k
             m ^= low
-    first: dict[int, int] = {}
+    first: dict[int, Vec] = {}
     for j, m in enumerate(rows_of):
         if not flat >> j & 1 and m not in first:
-            first[m] = j
+            first[m] = vecs[j]
     kept = {}
-    for m, j in first.items():
+    for m, v in first.items():
         for o in first:
             if o & m == m and o != m:
                 break
         else:
-            kept[m] = j
-    return flat, kept
+            kept[m] = v
+    return [v for j, v in enumerate(vecs) if flat >> j & 1], kept
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +405,9 @@ class Polyhedron:
         "_empty",
         "_box",
         "_cone",
-        "_dual",
         "_seed",
         "_out_cons",
         "_out_text",
-        "_out_gens",
     )
 
     def __init__(self, dim: int, topology: Topology, *, _internal=False):
@@ -420,16 +420,13 @@ class Polyhedron:
         self._raw: str | None = None  # "rows" or "gens" while that one is unminimized
         self._empty: bool | None = None
         self._box: Box | None = None
-        # (lines, rays, sat, nbits, indexed rows) of the forward conversion or the dual's:
-        # one store keeps the matrix with the rays it describes, even concurrently
-        self._cone: tuple | None = None
-        # (raw generators, sat, rays) of their dual conversion, until read by _minimal_gens
-        self._dual: tuple | None = None
+        # last in it, the row sequences a forward conversion met or the raw generators a dual
+        # one converted; one store keeps the matrix with its rays, even concurrently
+        self._cone: HeldCone | None = None
         # (rows, *_cone) of an operand, until the conversion
         self._seed: tuple | None = None
         self._out_cons: tuple[Constraint, ...] | None = None
         self._out_text: tuple | None = None  # (names, rendering)
-        self._out_gens: tuple[Generator, ...] | None = None
 
     # -- geometry of the internal representation --------------------------
 
@@ -594,16 +591,15 @@ class Polyhedron:
         e = self._eps_col()
         return not any(r[0] > 0 and r[e] > 0 for r in rays)
 
-    def _extreme(self, dual) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """The minimal generators read off ``dual`` (raw generators, their dual's matrix
-        and rows), kept in ``_cone`` with the matrix transposed: rays saturating every
-        row span the lineality space with the lines, the others are extreme if maximal."""
-        (lines, rays), dsat, drays = dual
-        flat, kept = _maximal(dsat, len(rays))  # flat: the rays saturating every row
-        lineal = [r for k, r in enumerate(rays) if flat >> k & 1]
+    def _extreme(self, dual: HeldCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """The minimal generators read off ``dual``, a dual conversion's cone with the raw
+        generators its bits index, kept in ``_cone`` transposed: rays saturating every row
+        span the lineality space with the lines, the others are extreme if maximal."""
+        _, drays, dsat, _, (lines, rays) = dual
+        lineal, kept = _maximal(dsat, rays)
         pivots, _ = _eliminate([*lines, *lineal], range(self._hom_dim))
-        rays = tuple([rays[k] for k in kept.values()])
-        self._cone = (tuple(pivots.values()), rays, tuple(kept), len(dsat), ([(r, False) for r in drays],))
+        self._cone = (tuple(pivots.values()), tuple(kept.values()), tuple(kept), len(dsat),
+                      ([(r, False) for r in drays],))
         return self._cone[:2]
 
     def _minimal_gens(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -612,8 +608,7 @@ class Polyhedron:
                 gens = ((), ())
             else:
                 rows = self._rows_any()  # raw generators convert once, here, dually
-                dual, self._dual = self._dual, None
-                gens = self._extreme(dual) if dual and dual[0] is self._gens else self._forward(rows)
+                gens = self._extreme(c) if (c := self._cone) and c[4] is self._gens else self._forward(rows)
             self._empty = self._is_empty_gens(gens)
             self._gens = ((), ()) if self._empty else gens
             if self._raw == "gens":
@@ -623,11 +618,10 @@ class Polyhedron:
     def _read_rows(self) -> tuple[Row, ...]:
         """Self's minimal rows read off ``_cone``, which its held equalities and indexed
         rows define: a row saturated by every ray is an equality, the facets are maximal."""
-        _, _, sat, nbits, index = self._cone
-        flat, kept = _maximal(sat, nbits)
-        ineqs = [v for rows in index for v, is_eq in rows if not is_eq and any(v)]
-        eqs = [v for v, is_eq in self._rows if is_eq] + [v for i, v in enumerate(ineqs) if flat >> i & 1]
-        ineqs, pi = [ineqs[i] for i in kept.values()], self._pi()
+        _, _, sat, _, index = self._cone
+        flat, kept = _maximal(sat, [v for rows in index for v, is_eq in rows if not is_eq and any(v)])
+        eqs = [v for v, is_eq in self._rows if is_eq] + flat
+        ineqs, pi = list(kept.values()), self._pi()
         if eqs:  # normal form: pivots at their last nonzero column, the facets reduced by them
             pivots, _ = _eliminate(eqs, range(self._hom_dim - 1, -1, -1))
             eqs = list(pivots.values())
@@ -640,11 +634,9 @@ class Polyhedron:
                 self._rows = ((tuple([-1] + [0] * self._rep_dim), False),)  # 0 >= 1
             elif self._raw == "rows":
                 self._rows = self._read_rows()
-            else:
-                gens = self._gens_any()
-                lines, rays, sat, _ = _dual_rows(self._hom_dim, *gens)
-                if self._raw == "gens":  # the matrix, with the raw generators and rows it indexes
-                    self._dual = (gens, sat, rays)
+            else:  # held by raw generators: the dual's matrix indexes them
+                lines, rays, sat, nbits = _dual_rows(self._hom_dim, *self._gens)
+                self._cone = (lines, rays, sat, nbits, self._gens)
                 pi = self._pi()  # the positivity row "1 >= 0" is no constraint
                 self._rows = tuple([(l, True) for l in lines] + [(r, False) for r in rays if r != pi])
             if self._raw == "rows":
@@ -757,11 +749,6 @@ class Polyhedron:
         return out
 
     def minimized_generators(self) -> tuple[Generator, ...]:
-        if self._out_gens is None:
-            self._out_gens = () if self.is_empty() else tuple(self._emitted_gens())
-        return self._out_gens
-
-    def _emitted_gens(self) -> list[Generator]:
         """The minimal generators, lines split into opposite rays, sorted.
 
         Built in integers: a point's vector is divided by the gcd of its
@@ -769,6 +756,8 @@ class Polyhedron:
         ``Generator.point`` would, and a closure point at a point's place
         is dropped.
         """
+        if self.is_empty():
+            return ()
         lines, rays = self._minimal_gens()
         n = self._dim
         pivots, _ = _eliminate(lines, range(1, self._hom_dim))
@@ -795,7 +784,7 @@ class Polyhedron:
             g for g in out
             if g.kind is not GenKind.CLOSURE_POINT or (g.coeffs, g.divisor) not in points
         )
-        return sorted(kept, key=Generator.sort_key)
+        return tuple(sorted(kept, key=Generator.sort_key))
 
     def constraints_pretty(self, names: Sequence[str]) -> str:
         if self._out_text is None or self._out_text[0] != tuple(names):  # the last rendering
@@ -828,7 +817,7 @@ class Polyhedron:
             return other
         meet = Polyhedron._from_rep_rows(self._dim, self._topology, mine + theirs)
         for p in (self, other):
-            if p._cone is not None or p._dual is not None:  # its minimal generators seed it
+            if p._cone is not None:  # its minimal generators seed it
                 p._minimal_gens()  # read off the dual's matrix if held by raw generators
                 meet._seed = (p._rows, *p._cone)
                 break

@@ -332,7 +332,7 @@ def emitted_closure(p):
     if p.is_empty():
         return Polyhedron.empty(p.dim, Topology.NNC)
     rays = []
-    for g in p._emitted_gens():
+    for g in p.minimized_generators():
         if g.kind is GenKind.RAY:
             rays.append((0, *g.coeffs, 0))
         else:

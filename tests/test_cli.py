@@ -446,3 +446,29 @@ def test_an_integer_too_long_to_convert_is_an_input_error_at_its_position(
     path.write_text(text)
     code, out, err = run_cli(command, str(path), *options)
     assert (code, out, err) == (1, "", f"error: {where}: integer of 5000 digits is too long\n")
+
+
+BIG = "9" * 4000  # inside the limit, but not its square
+SQUARED = f"{{x = {BIG}}}, x := {BIG}*x"
+
+
+@pytest.mark.parametrize(
+    "command, text, out",
+    [
+        ("analyze", f"vars x;\nx := {BIG} * {BIG}\n", ""),
+        ("reach", f"vars x;\nlocation a {{ rate: dx = 0; init: x = {BIG} }}\n"
+                  f"location b {{ rate: dx = 0 }}\ntransition a -> b {{ update: x' = {BIG}*x }}\n", ""),
+        ("poly", f"vars x;\nprint {{x >= 0}};\nprint image({SQUARED});\n", "{x>=0}\n"),
+        ("poly", f"vars x;\nprint contains_point({{x >= 0}}, 1);\nprint gens(image({SQUARED}));\n", "true\n"),
+    ],
+    ids=["analyze", "reach", "poly-constraint", "poly-generator"],
+)
+def test_a_result_coefficient_too_long_to_print_is_an_engine_error(
+    int_digit_limit, tmp_path, command, text, out
+):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, printed, err = run_cli(command, str(path))
+    # the lines printed before the failing statement stay printed
+    assert (code, printed, err) == (
+        2, out, "engine error: a result coefficient of 26576 bits is too long to print\n")

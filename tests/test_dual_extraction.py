@@ -164,9 +164,13 @@ def test_the_generators_read_off_the_matrix_are_those_of_a_fresh_conversion(case
     p = build()
     raw = p._gens
     rows = p._minimal_rows()
-    assert p._dual[0] is raw and p._cone is None  # the matrix is kept, and not read yet
+    dual = p._cone
+    assert dual[4] is raw  # the dual's matrix is kept with the raw generators it indexes
     gens = p._minimal_gens()
-    assert p._dual is None and p._cone[:2] == gens
+    assert p._cone[:2] == gens
+    # the one matrix, transposed: its bits index the dual's rays, and no slot keeps the dual's
+    assert [v for v, _ in p._cone[4][0]] == list(dual[1])
+    assert all(getattr(p, slot) is not dual for slot in Polyhedron.__slots__)
     # each ray's bits count the facets it saturates, the positivity row among them if one
     _, rays, sat, nbits, _ = p._cone
     facets = [v for v, is_eq in rows if not is_eq]

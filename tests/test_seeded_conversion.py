@@ -131,7 +131,7 @@ def test_an_operand_held_by_raw_generators_seeds_from_the_extreme_generators_its
         conversions):
     hull = poly("x>=0, y>=0, x<=1, y<=1").poly_hull(poly("x=3, y=3"))
     hull.minimized_constraints()  # rows from the raw generators, the matrix kept
-    assert hull._cone is None  # not read until asked for
+    assert hull._cone[4] is hull._gens  # the dual's matrix, not read until asked for
     meet = hull.intersection(poly("x<=2"))
     # the square's corner (1, 1) lies inside the hull: its other three and (3, 3) are extreme
     assert set(hull._gens[1]) == {(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 3, 3)}
