@@ -169,8 +169,11 @@ def abstract_eval_aexp(e: imp.Aexp, p: Polyhedron, variables: Sequence[str]) -> 
 # Filters and assignment
 # ---------------------------------------------------------------------------
 
-def _test_pieces(b: imp.Compare, branch: bool, variables: Sequence[str]):
-    """The one-row polyhedra whose union is where ``b`` is ``branch``; None if not affine."""
+def _test_pieces(b: imp.Bexp, branch: bool, variables: Sequence[str]):
+    """The one-row polyhedra whose union is where ``b`` is ``branch``; None if not
+    affine or everywhere (a literal equal to ``branch``), an empty one if nowhere."""
+    if isinstance(b, imp.BoolLit):
+        return None if b.value == branch else (Polyhedron.empty(len(variables), Topology.CLOSED),)
     left = affine_row(b.left, variables)
     right = affine_row(b.right, variables)
     if left is None or right is None:
@@ -194,17 +197,12 @@ def filter_store(
     """Sound Boolean filter (phi_tt / phi_ff); ``compiled`` keeps tests by (pid, branch)."""
     if value.is_bottom():
         return value
-    if isinstance(b, imp.BoolLit):
-        if b.value == branch:
-            return value
-        return value.lift_image(lambda p: Polyhedron.empty(p.dim, p.topology))
-    assert isinstance(b, imp.Compare)
     compiled = {} if compiled is None else compiled
     if (b.pid, branch) not in compiled:  # first visit: compile the test
         compiled[b.pid, branch] = _test_pieces(b, branch, variables)
     pieces = compiled[b.pid, branch]
     if pieces is None:
-        return value  # non-affine side: identity is sound
+        return value  # a true literal, or a non-affine side: identity is sound
     if len(pieces) == 1:
         return value.lift_image(lambda p: p.intersection(pieces[0]))
     if isinstance(value, PolySet):

@@ -5,6 +5,7 @@ initial region, an invariant and a rate region (polyhedra over the n
 variables; rate constraints speak about the derivatives), and
 transitions whose relations are polyhedra in dimension 2n laid out as
 (current values, primed next values): NNC, but run closed when none is strict.
+A product pairs moves on a shared label, and any other move with partner stays.
 
 Reachable regions per location solve the fixpoint equations
 
@@ -292,34 +293,37 @@ def _sections(
 
 def _unchanged(i: int, n: int) -> Constraint:
     """``x_i = x_i'`` in a relation over (x, x') of n variables."""
-    coeffs = [0] * (2 * n)
-    coeffs[i] = 1
-    coeffs[n + i] = -1
-    return canonicalize_constraint(coeffs, "=", 0)
+    return canonicalize_constraint([int(k == i) - int(k == n + i) for k in range(2 * n)], "=", 0)
 
 
-def _identity_relation(n: int) -> Polyhedron:
-    return Polyhedron.from_constraints(2 * n, Topology.NNC, [_unchanged(i, n) for i in range(n)])
+def _stays(h: HybridAutomaton) -> list[Transition]:
+    """A stay at each location of ``h``: no label, and one identity relation for all."""
+    n = h.dim
+    identity = Polyhedron.from_constraints(2 * n, Topology.NNC, [_unchanged(i, n) for i in range(n)])
+    return [Transition(l.name, None, identity, l.name) for l in h.locations]
 
 
-def _interleave_relation(rel: Polyhedron, m: int, n: int) -> Polyhedron:
-    """(x, x', y, y') -> (x, y, x', y') for a concatenated relation."""
+def _product_relation(r: Polyhedron, s: Polyhedron) -> Polyhedron:
+    """Relations over (x, x') and (y, y') as one over (x, y, x', y')."""
+    m, n = r.dim // 2, s.dim // 2
     # perm[i] is the new place of dimension i: x stays, x' moves past y, y moves up, y' stays
     perm = [*range(m), *range(m + n, 2 * m + n), *range(m, m + n), *range(2 * m + n, 2 * (m + n))]
-    return rel.map_dimensions(perm)
+    return r.concatenate(s).map_dimensions(perm)
 
 
 def parallel_compose(first: HybridAutomaton, second: HybridAutomaton) -> HybridAutomaton:
-    """Synchronized product; shared labels pair up, the rest interleave.
+    """Synchronized product: a move on a shared label pairs with each of the
+    partner's moves on that label, and any other move with a stay of the
+    partner at each of its locations.
 
     Product locations are named `A.B` unless one component has a single
-    location, in which case the other component's name stands alone.
+    location, in which case the other component's name stands alone; one
+    is in the widen set when either part is.  The first component's moves
+    come in file order, each followed by its partners, then the second's
+    unshared moves, each followed by the first's stays.
     """
-    clash = set(first.variables) & set(second.variables)
-    if clash:
+    if clash := set(first.variables) & set(second.variables):
         raise ValueError(f"variable clash in composition: {sorted(clash)}")
-    m, n = first.dim, second.dim
-    variables = first.variables + second.variables
     shared = first.labels & second.labels
 
     def prod_name(a: str, b: str) -> str:
@@ -329,60 +333,30 @@ def parallel_compose(first: HybridAutomaton, second: HybridAutomaton) -> HybridA
             return b
         return f"{a}.{b}"
 
-    locations = []
-    for a in first.locations:
-        for b in second.locations:
-            locations.append(
-                Location(
-                    prod_name(a.name, b.name),
-                    a.invariant.concatenate(b.invariant),
-                    a.rate.concatenate(b.rate),
-                    a.init.concatenate(b.init),
-                )
-            )
-
+    first_stays, second_stays = _stays(first), _stays(second)
+    # (the first's part, the second's part, the move)
+    pairs = [(t, u, t) for t in first.transitions for u in (
+        [u for u in second.transitions if u.label == t.label] if t.label in shared else second_stays)]
+    pairs += [(a, u, u) for u in second.transitions if u.label not in shared for a in first_stays]
+    relations: dict[tuple[int, int], Polyhedron] = {}
     transitions = []
-    for t in first.transitions:
-        if t.label is not None and t.label in shared:
-            for u in second.transitions:
-                if u.label == t.label:
-                    rel = _interleave_relation(t.relation.concatenate(u.relation), m, n)
-                    transitions.append(
-                        Transition(
-                            prod_name(t.source, u.source),
-                            t.label,
-                            rel,
-                            prod_name(t.target, u.target),
-                        )
-                    )
-        else:
-            rel = _interleave_relation(t.relation.concatenate(_identity_relation(n)), m, n)
-            for b in second.locations:
-                transitions.append(
-                    Transition(prod_name(t.source, b.name), t.label, rel, prod_name(t.target, b.name))
-                )
-    for u in second.transitions:
-        if u.label is not None and u.label in shared:
-            continue  # handled above (or blocked)
-        rel = _interleave_relation(_identity_relation(m).concatenate(u.relation), m, n)
-        for a in first.locations:
-            transitions.append(
-                Transition(prod_name(a.name, u.source), u.label, rel, prod_name(a.name, u.target))
-            )
+    for a, b, move in pairs:
+        partner = b if move is a else a
+        # one relation per move and partner; the partner's stays (no label) count as one
+        key = id(move), id(partner.relation if partner.label is None else partner)
+        if key not in relations:
+            relations[key] = _product_relation(a.relation, b.relation)
+        transitions.append(Transition(prod_name(a.source, b.source), move.label, relations[key],
+                                      prod_name(a.target, b.target)))
 
-    widen_at = set()
-    for a in first.locations:
-        for b in second.locations:
-            if a.name in first.widen_at or b.name in second.widen_at:
-                widen_at.add(prod_name(a.name, b.name))
-
-    return HybridAutomaton(
-        variables,
-        tuple(locations),
-        first.labels | second.labels,
-        tuple(transitions),
-        frozenset(widen_at),
-    )
+    locations = [Location(prod_name(a.name, b.name),
+                          *map(Polyhedron.concatenate, (a.invariant, a.rate, a.init),
+                               (b.invariant, b.rate, b.init)))
+                 for a in first.locations for b in second.locations]
+    widen_at = {prod_name(a.name, b.name) for a in first.locations for b in second.locations
+                if a.name in first.widen_at or b.name in second.widen_at}
+    return HybridAutomaton(first.variables + second.variables, tuple(locations),
+                           first.labels | second.labels, tuple(transitions), frozenset(widen_at))
 
 
 # ---------------------------------------------------------------------------

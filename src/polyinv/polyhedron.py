@@ -53,11 +53,12 @@ Every vector, row or generator, is laid out as ``(xi0, x_1..x_n, *tail)``,
 the tail ``()`` for closed values and ``(eps,)`` for NNC ones, so a change
 of dimensions rewrites ``v[:1 + n]`` and carries ``v[1 + n:]`` along
 whatever the topology.  Adding dimensions is concatenation with a
-universe, which pads rows.  Every image and projection (affine images,
-compiled affine maps, bounded images, removing and permuting dimensions
-of a value held by generators) is one generator map, ``_mapped``: each
-held line and ray goes through the operation's vector function, is
-normalized, and the zero vectors are dropped.  Affine and bounded images
+universe, which pads rows; permuting them permutes the columns of the held
+(or minimal) rows.  Every image and projection (affine images, compiled
+affine maps, bounded images, removing dimensions) of a value held by
+generators is one generator map, ``_mapped``: each held line and ray goes
+through the operation's vector function, is normalized, and the zero
+vectors are dropped.  Affine and bounded images
 take each expression as an integer row ``(const, c_1..c_n)``; a rational
 update ``x_k := row / den`` is ``affine_map`` of an ``AffineMap`` with a
 universe guard, whose generator map gives the same vectors.
@@ -1068,9 +1069,7 @@ class Polyhedron:
         for old, new in enumerate(perm):
             cols[1 + new] = 1 + old
         remap = _columns(cols, 1 + self._dim)
-        if self._rows is None:
-            return self._mapped(self._dim, remap)
-        rows = [(remap(v), eq) for v, eq in self._rows]
+        rows = [(remap(v), eq) for v, eq in self._rows_any()]
         return Polyhedron._from_rep_rows(self._dim, self._topology, rows)
 
     def concatenate(self, other: Polyhedron) -> Polyhedron:

@@ -40,6 +40,8 @@ reference for the rows read off a forward conversion's matrix.
 ``former_parse_program`` parses a ``.imp`` program in two phases, nodes
 with pid 0 and then a rebuild with the pre-order pids and a walk for the
 variables, the reference for the parser that builds each node once.
+``former_parallel_compose`` builds a product's transitions in three loops,
+the reference for the composition by one product rule.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from itertools import count
 from math import gcd
 
 from polyinv import imp
-from polyinv.hybrid import _source_flow
+from polyinv.hybrid import HybridAutomaton, Location, Transition, _source_flow, _unchanged
 from polyinv.linalg import Constraint, DimensionError, GenKind, Rel
 from polyinv.parse import MAX_DEPTH, TOO_DEEP, ParseError, Tokens
 from polyinv.polyhedron import (
@@ -770,3 +772,91 @@ def former_parse_program(text: str):
         declared = []
         _collect_vars(body, declared)
     return imp.Program(tuple(declared), body)
+
+
+# The product of two hybrid automata by three transition loops: the first
+# component's moves (paired on a shared label, else interleaved at each of the
+# partner's locations), then the second's unshared moves.  This is the body
+# ``polyinv.hybrid.parallel_compose`` had before it composed by one rule.
+
+def _former_identity_relation(n: int):
+    return Polyhedron.from_constraints(2 * n, Topology.NNC, [_unchanged(i, n) for i in range(n)])
+
+
+def _former_interleave_relation(rel, m: int, n: int):
+    """(x, x', y, y') -> (x, y, x', y') for a concatenated relation."""
+    perm = [*range(m), *range(m + n, 2 * m + n), *range(m, m + n), *range(2 * m + n, 2 * (m + n))]
+    return rel.map_dimensions(perm)
+
+
+def former_parallel_compose(first, second):
+    clash = set(first.variables) & set(second.variables)
+    if clash:
+        raise ValueError(f"variable clash in composition: {sorted(clash)}")
+    m, n = first.dim, second.dim
+    variables = first.variables + second.variables
+    shared = first.labels & second.labels
+
+    def prod_name(a: str, b: str) -> str:
+        if len(second.locations) == 1:
+            return a
+        if len(first.locations) == 1:
+            return b
+        return f"{a}.{b}"
+
+    locations = []
+    for a in first.locations:
+        for b in second.locations:
+            locations.append(
+                Location(
+                    prod_name(a.name, b.name),
+                    a.invariant.concatenate(b.invariant),
+                    a.rate.concatenate(b.rate),
+                    a.init.concatenate(b.init),
+                )
+            )
+
+    transitions = []
+    for t in first.transitions:
+        if t.label is not None and t.label in shared:
+            for u in second.transitions:
+                if u.label == t.label:
+                    rel = _former_interleave_relation(t.relation.concatenate(u.relation), m, n)
+                    transitions.append(
+                        Transition(
+                            prod_name(t.source, u.source),
+                            t.label,
+                            rel,
+                            prod_name(t.target, u.target),
+                        )
+                    )
+        else:
+            rel = _former_interleave_relation(
+                t.relation.concatenate(_former_identity_relation(n)), m, n
+            )
+            for b in second.locations:
+                transitions.append(
+                    Transition(prod_name(t.source, b.name), t.label, rel, prod_name(t.target, b.name))
+                )
+    for u in second.transitions:
+        if u.label is not None and u.label in shared:
+            continue  # handled above (or blocked)
+        rel = _former_interleave_relation(_former_identity_relation(m).concatenate(u.relation), m, n)
+        for a in first.locations:
+            transitions.append(
+                Transition(prod_name(a.name, u.source), u.label, rel, prod_name(a.name, u.target))
+            )
+
+    widen_at = set()
+    for a in first.locations:
+        for b in second.locations:
+            if a.name in first.widen_at or b.name in second.widen_at:
+                widen_at.add(prod_name(a.name, b.name))
+
+    return HybridAutomaton(
+        variables,
+        tuple(locations),
+        first.labels | second.labels,
+        tuple(transitions),
+        frozenset(widen_at),
+    )

@@ -6,7 +6,8 @@ against the concrete semantics of ``imp`` (not against the code they
 replace): a row evaluates to what ``eval_aexp`` computes, and a filtered
 store holds an integer point exactly when the test has the filtered
 truth value there.  Non-affine forms fall back to the interval image
-(assignments) and to the identity (tests).  A loop nested in another
+(assignments) and to the identity (tests); a Boolean literal compiles to
+the identity on its own branch and to an empty piece on the other.  A loop nested in another
 loop is memoized by its entry store; a replayed run must print what a
 re-run prints, and the nesting of the ``CHANGES.md`` program no longer
 costs time exponential in its depth.
@@ -31,7 +32,7 @@ from polyinv.analyzer import (
     analyze,
     filter_store,
 )
-from polyinv.imp import Assign, eval_aexp, eval_bexp, parse_program
+from polyinv.imp import Assign, If, eval_aexp, eval_bexp, parse_program
 from polyinv.parse import parse_constraints
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=120)
@@ -212,6 +213,44 @@ def test_each_statement_compiles_once(monkeypatch):
     compiled = [pid for pid in rows if pid in assigned]
     assert sorted(compiled) == sorted(assigned)  # every assignment, once
     assert len(pieces) == len(set(pieces)) == 6  # three tests, each branch once
+
+
+LITERAL_PROGRAM = """
+vars x, y;
+x := 0; y := 0;
+while x < 6 do {
+  if true then x := x + 1 else y := 7;
+  if false then y := 9 else y := y + x
+}
+"""
+
+
+@pytest.mark.parametrize("domain", ["poly", "powerset"])
+def test_a_boolean_literal_filters_through_its_compiled_pieces(domain, monkeypatch):
+    program = parse_program(LITERAL_PROGRAM)
+    names = program.variables
+    literals = [s.cond for s in program.statements() if isinstance(s, If)]
+    pieces, pieces_of = [], analyzer._test_pieces
+
+    def count_pieces(b, branch, variables):
+        pieces.append((b.pid, branch))
+        return pieces_of(b, branch, variables)
+
+    monkeypatch.setattr(analyzer, "_test_pieces", count_pieces)
+    opts = AnalysisOptions(domain=domain, delay=2)
+    result = analyze(program, AbstractStore.top(names, domain), opts)
+    assert result.widenings + result.delayed_joins >= 2  # the body ran more than once
+    assert len(pieces) == len(set(pieces)) == 6  # each test, literals too, once per branch
+    assert {(b.pid, branch) for b in literals for branch in (True, False)} <= set(pieces)
+    # each literal's branch taken, the other never
+    taken = parse_program("vars x, y;\nx := 0; y := 0;\nwhile x < 6 do { x := x + 1; y := y + x }")
+    expected = analyze(taken, AbstractStore.top(names, domain), opts)
+    assert result.exit_store.pretty() == expected.exit_store.pretty()
+    region = AbstractStore.from_constraints(names, parse_constraints("x >= 1, y <= x", {"x": 0, "y": 1}, 2),
+                                            domain).value
+    for b in literals:
+        assert filter_store(region, names, b, b.value, {}) is region  # the same object back
+        assert filter_store(region, names, b, not b.value, {}).is_bottom()
 
 
 def test_undeclared_names_raise_on_the_first_visit():

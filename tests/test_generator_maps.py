@@ -1,16 +1,18 @@
 """The image and dimension operations against Fourier-Motzkin projection.
 
 ``affine_image`` (a rational update through ``affine_map`` with a
-universe guard), ``bounded_affine_image``, ``remove_dimensions`` and
-``map_dimensions`` on a value held by generators map those generators
-through one loop, ``time_elapse`` adds the rates as rays, and
+universe guard), ``bounded_affine_image`` and ``remove_dimensions`` on a
+value held by generators map those generators through one loop,
+``map_dimensions`` permutes the columns of the rows any value holds or
+minimizes to, ``time_elapse`` adds the rates as rays, and
 ``add_dimensions`` and ``concatenate`` pad rows.  Each result must
 describe the same set as the oracle's projection of the operand's
 constraints (``tests/oracles.py``).  Operands are closed and NNC values
 in dimensions 1..4, built from constraints or from generators; the
 constraints of a generator-built operand are the oracle's projection of
 the generator weights, so no double-description conversion enters the
-oracle side.
+oracle side.  A value held by generators must also permute to the bytes
+its row-built twin permutes to.
 """
 
 from fractions import Fraction
@@ -135,3 +137,23 @@ def test_result_is_the_projection_of_the_operand(operation, data):
     assert got.topology is topology
     emitted = constraints_to_ineqs(got.minimized_constraints())
     assert fm_same_set(emitted, oracle, got.dim)
+
+
+@FUZZ
+@given(st.sampled_from([CLOSED, NNC]), st.integers(1, MAX_DIM), st.data())
+def test_a_value_held_by_generators_permutes_to_what_its_row_built_twin_does(topology, d, data):
+    gens = data.draw(generators(d, topology))
+    perm = data.draw(st.permutations(range(d)))
+    p = Polyhedron.from_generators(d, topology, gens)
+    assert p._rows is None
+    got = p.map_dimensions(perm)
+    # an NNC twin built from the emitted constraints may bound the slack otherwise and
+    # emit other eps-redundant strict rows: the twin of the encoding, as the kernel minimizes it
+    twins = [Polyhedron._from_rep_rows(d, topology, p._minimal_rows())]
+    if topology is CLOSED:
+        twins.append(Polyhedron.from_constraints(d, topology, p.minimized_constraints()))
+    names = [f"x{i}" for i in range(d)]
+    for twin in twins:
+        want = twin.map_dimensions(perm)
+        assert got.constraints_pretty(names) == want.constraints_pretty(names)
+        assert got.minimized_generators() == want.minimized_generators()
