@@ -4,6 +4,7 @@ Output is deterministic: constraints print with integer coefficients,
 terms in declared variable order, equalities first, and systems sorted
 by the canonical coefficient order.  `--format records` emits
 tab-separated `kind<TAB>key<TAB>{constraints}` lines for tooling.
+Exit codes: 0 ok, 1 `error: …`, 2 `engine error: …`, 3 warnings then `error: …`.
 
 `poly` scripts use the shared lexer of `parse` and this grammar:
 
@@ -46,25 +47,16 @@ EXIT_NO_CONVERGENCE = 3
 # analyze
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
-    try:
-        text = _read(args.file)
-        opts = AnalysisOptions(domain=args.domain, delay=args.delay, cap=args.cap)
-        program = imp.parse_program(text)
-        names = list(program.variables)
-        idx = {v: i for i, v in enumerate(names)}
-        cs = parse_constraints(args.assume, idx, len(names)) if args.assume else []
-        initial = AbstractStore.from_constraints(names, cs, opts.domain)
-    except ValueError as e:
-        return _input_error(e)
-    try:
-        result = analyze(program, initial, opts)
-        lines = _store_lines(program, result, args.format == "records")
-    except (AnalysisError, ArithmeticError) as e:
-        return _engine_error(e)
-    for line in lines:
-        print(line)
-    return 0
+def cmd_analyze(args) -> list[str]:
+    text = _read(args.file)
+    opts = AnalysisOptions(domain=args.domain, delay=args.delay, cap=args.cap)
+    program = imp.parse_program(text)
+    names = list(program.variables)
+    idx = {v: i for i, v in enumerate(names)}
+    cs = parse_constraints(args.assume, idx, len(names))
+    initial = AbstractStore.from_constraints(names, cs, opts.domain)
+    result = analyze(program, initial, opts)
+    return _store_lines(program, result, args.format == "records")
 
 
 def _store_lines(program: imp.Program, result: AnalysisResult, records: bool) -> list[str]:
@@ -97,47 +89,23 @@ def _read(path: str) -> str:
         raise ValueError(e) from None
 
 
-def _input_error(e: ValueError) -> int:
-    print(f"error: {e}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
-
-
-def _engine_error(e: Exception) -> int:
-    """Report an engine that gave up, such as on the coefficient limit."""
-    print(f"engine error: {e}", file=sys.stderr)
-    return EXIT_ENGINE_ERROR
-
-
 # ---------------------------------------------------------------------------
 # reach
 # ---------------------------------------------------------------------------
 
-def cmd_reach(args) -> int:
-    try:
-        automaton = parse_automaton(_read(args.file))
-        names = list(automaton.variables)
-        wanted = [v.strip() for v in args.project.split(",")] if args.project else names
-        for v in wanted:
-            if v not in names:
-                raise ValueError(f"unknown variable {v!r} in --project")
-        opts = ReachOptions(
-            domain=args.domain, delay=args.delay, cap=args.cap, max_iter=args.max_iter
-        )
-    except ValueError as e:
-        return _input_error(e)
-    try:
-        result = reach(automaton, opts)
-        lines = _region_lines(automaton, result, wanted, args.format == "records")
-    except NonConvergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except ArithmeticError as e:
-        return _engine_error(e)
+def cmd_reach(args) -> list[str]:
+    automaton = parse_automaton(_read(args.file))
+    names = list(automaton.variables)
+    wanted = [v.strip() for v in args.project.split(",")] if args.project else names
+    for v in wanted:
+        if v not in names:
+            raise ValueError(f"unknown variable {v!r} in --project")
+    opts = ReachOptions(domain=args.domain, delay=args.delay, cap=args.cap, max_iter=args.max_iter)
+    result = reach(automaton, opts)
+    lines = _region_lines(automaton, result, wanted, args.format == "records")
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    for line in lines:
-        print(line)
-    return 0
+    return lines
 
 
 def _region_lines(
@@ -356,16 +324,8 @@ def _at(tok: Token, fn, *args):
         raise ParseError(str(e), tok[2], tok[3]) from None
 
 
-def cmd_poly(args) -> int:
-    try:
-        script = _read(args.script) if args.script != "-" else sys.stdin.read()
-        for line in _PolyScript().run(script):
-            print(line)
-    except ValueError as e:
-        return _input_error(e)
-    except ArithmeticError as e:
-        return _engine_error(e)
-    return 0
+def cmd_poly(args) -> Iterator[str]:
+    return _PolyScript().run(_read(args.script) if args.script != "-" else sys.stdin.read())
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        for line in args.func(args):
+            print(line)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except NonConvergenceError as e:
+        for w in e.partial.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except (AnalysisError, ArithmeticError) as e:
+        print(f"engine error: {e}", file=sys.stderr)
+        return EXIT_ENGINE_ERROR
+    return 0
 
 
 if __name__ == "__main__":

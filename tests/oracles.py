@@ -430,10 +430,6 @@ def _holds(c: Constraint, point) -> bool:
     return v > 0
 
 
-def point_in_constraints(cs, point) -> bool:
-    return all(_holds(c, point) for c in cs)
-
-
 # ---------------------------------------------------------------------------
 # Random instance generation
 # ---------------------------------------------------------------------------

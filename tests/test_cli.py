@@ -1,9 +1,12 @@
 """CLI behavior: golden lines, exit codes, determinism, re-parse property."""
 
 import io
+import os
+import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +178,13 @@ class TestReach:
         code, _, err = run_cli("reach", water_path, "--max-iter", "1")
         assert code == 3 and "fixpoint" in err
 
+    def test_no_fixpoint_prints_the_warnings_that_explain_it(self, scheduler_path):
+        code, out, err = run_cli("reach", scheduler_path, "--domain", "powerset", "--max-iter", "5")
+        assert (code, out, err) == (3, "", (
+            "warning: widen set does not cut every cycle; relying on max_iter\n"
+            "error: no fixpoint after 5 sweeps\n"
+        ))
+
     def test_parse_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.lha"
         p.write_text("vars x\nlocation")
@@ -218,6 +228,16 @@ class TestReach:
         monkeypatch.setattr(cli, "reach", bug)
         with pytest.raises(KeyError):
             run_cli("reach", water_path)
+
+    def test_module_entry_point_exits_with_the_engine_error(self, water_path):
+        # POLYINV_MAX_BITS is read when the kernel is imported, so it runs in a child
+        src = str(Path(polyhedron.__file__).resolve().parents[1])
+        env = {**os.environ, "POLYINV_MAX_BITS": "3", "PYTHONPATH": src}
+        child = [sys.executable, "-m", "polyinv.cli", "reach", water_path]
+        done = subprocess.run(child, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "engine error: coefficient exceeds POLYINV_MAX_BITS=3\n"
+        )
 
     @pytest.mark.parametrize(
         "bits, options, after_reach",

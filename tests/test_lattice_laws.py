@@ -8,7 +8,11 @@ the hull and the widening are checked against the inclusion test:
   operand orders;
 * each operand lies inside their hull;
 * ``newer`` lies inside ``standard_widening(older, newer)`` whenever
-  ``older`` lies inside ``newer``.
+  ``older`` lies inside ``newer``;
+* the chain ``x <- standard_widening(x, x hull f(x))`` under a shear ``f``
+  stabilizes within ``2d`` plus the first widened value's constraint
+  count, the bound of ``suites.widening_chain_suite``, each widening
+  containing its hull.
 
 The operands are the families of ``test_dual_extraction``: a value held
 by raw generators or by a raw row system, and rows through or near one
@@ -16,7 +20,7 @@ of its points, held as rows or by their generators.  Before the
 operation each operand may first be asked for its rows or its
 generators, which decides what it holds and whether a meet seeds from
 it.  A value of more than 48 rays is skipped, as in that file: its dual
-conversion takes seconds at d = 8.
+conversion takes seconds at d = 8; a widening chain stops at such a value.
 """
 
 from hypothesis import given
@@ -94,3 +98,31 @@ def test_the_newer_value_lies_inside_its_widening_by_an_older_one_inside_it(
     older, newer = asked(older, ask_older), asked(newer, ask_newer)
     assert newer.contains(older)
     assert standard_widening(older, newer).contains(newer)
+
+
+@st.composite
+def sheared(draw, topology):
+    """``(d, make, k, row)``: ``make`` makes a fresh value held by raw generators,
+    ``row`` the shear ``x_k := x_k + x_(k+1) + c`` with c in 1..3; a plain
+    translation of these values stabilizes in one step, which tests no bound."""
+    d, topology, make, _ = draw(raw_values(topology))
+    k, c = draw(st.integers(0, d - 2)), draw(st.integers(1, 3))
+    return d, make, k, [c] + [int(j in (k, k + 1)) for j in range(d)]
+
+
+@FUZZ
+@given(st.sampled_from([CLOSED, NNC]).flatmap(sheared))
+def test_a_widening_chain_stabilizes_within_its_bound(case):
+    d, make, k, row = case
+    x, steps, bound = make(), 0, None
+    while len(x._minimal_gens()[1]) <= 48:
+        fx = x.affine_image(k, row)
+        if x.contains(fx):
+            break
+        hull = x.poly_hull(fx)
+        x = standard_widening(x, hull)
+        assert x.contains(hull)
+        steps += 1
+        if bound is None:
+            bound = 2 * d + len(x.minimized_constraints())
+        assert steps <= bound, f"the chain took {steps} > {bound} steps"
